@@ -242,7 +242,9 @@ impl HdSearchService {
         horizon: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut data_rng = rng.fork(0x4453); // stable dataset across runs
+        // Forked, not split: building the dataset leaves the run's stream
+        // untouched. The dataset still varies with the run's seed.
+        let mut data_rng = rng.fork(0x4453);
         let data = clustered_dataset(config.dataset_size, config.dim, 8, &mut data_rng);
         let index = LshIndex::build(data, config.tables, config.planes, config.shards, &mut data_rng);
         // Measure real per-query candidate counts once.

@@ -6,10 +6,15 @@
 //!
 //! Two layers, deliberately separated:
 //!
-//! * [`KvStore`] — a real, functional sharded hash table. Requests
-//!   actually `get`/`set` against it (hit/miss semantics, value sizes,
+//! * [`KvStore`] — a real, functional key-value store. Requests actually
+//!   `get`/`set` against it (hit/miss semantics, value sizes,
 //!   versioning), so the service's behaviour is grounded in real data
-//!   structures rather than a bare latency constant.
+//!   rather than a bare latency constant. The ETC cache fill is kept as
+//!   one dense array of raw uniforms, one per preloaded key, and a key's
+//!   value size is derived from its uniform on read; only written keys
+//!   live in a hash map overlay. Building an instance therefore costs one
+//!   bulk RNG fill instead of a sampler transform and a hash insert per
+//!   key, and every read returns the bits an eager fill would have stored.
 //! * [`KvService`] — the timing layer: each request runs on a worker of a
 //!   [`WorkerPool`] built from the server's [`MachineConfig`], with a
 //!   service-time model derived from the operation and payload sizes.
@@ -28,101 +33,127 @@ use crate::interference::InterferenceProfile;
 use crate::request::{KvOp, RequestDescriptor, ServiceCompletion};
 use crate::worker_pool::WorkerPool;
 
+/// ETC value sizes: GP(θ = 0, σ = 214.476, k = 0.348238).
+fn etc_value_size() -> GeneralizedPareto {
+    GeneralizedPareto::new(0.0, 214.476, 0.348238)
+}
+
+/// A value-size variate as stored bytes: clamped to 1 B – 1 MB
+/// (memcached's default item-size limit).
+fn value_bytes(variate: f64) -> u32 {
+    variate.clamp(1.0, 1_000_000.0) as u32
+}
+
 /// A stored value: size + version (payload bytes are represented, not
 /// materialized, to keep memory bounded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredValue {
     /// Value size in bytes.
     pub size: u32,
-    /// Monotonically increasing version (bumped by each SET).
+    /// Monotonically increasing version (0 when first stored, bumped by
+    /// each later SET).
     pub version: u32,
 }
 
-/// A sharded hash-table store — the functional core of the service.
+/// The functional core of the service: an ETC-preloaded key-value store.
+///
+/// Keys `0..n` of a [`KvStore::preloaded`] store hold ETC-sized values
+/// at version 0. They are kept as `n` raw `[0, 1)` uniforms drawn in one
+/// bulk fill; a read of an unwritten preloaded key runs the ETC
+/// value-size transform on its uniform, which yields exactly the size
+/// sequential sampling would have stored. SETs go to a hash map overlay
+/// that shadows the preload, so version bumps, fresh keys and `len` behave
+/// as in a plain hash table holding every key.
 ///
 /// # Example
 ///
 /// ```
 /// use tpv_services::kv::KvStore;
-/// let mut store = KvStore::new(16);
-/// store.set(42, 100);
-/// assert_eq!(store.get(42).unwrap().size, 100);
-/// assert!(store.get(7).is_none());
+/// use tpv_sim::SimRng;
+/// let mut store = KvStore::preloaded(100, &mut SimRng::seed_from_u64(1));
+/// assert_eq!(store.len(), 100);
+/// let preloaded = store.get(42).unwrap();
+/// assert_eq!(preloaded.version, 0);
+/// assert_eq!(store.set(42, 7), Some(preloaded));
+/// assert_eq!(store.get(42).unwrap().version, 1);
+/// assert!(store.get(1_000).is_none());
 /// ```
 #[derive(Debug)]
 pub struct KvStore {
-    shards: Vec<FxHashMap<u64, StoredValue>>,
+    value_size: GeneralizedPareto,
+    /// One raw uniform per preloaded key, indexed by key.
+    preload: Vec<f64>,
+    /// Every key written by a SET, preloaded or not.
+    written: FxHashMap<u64, StoredValue>,
+    /// Written keys outside the preload range (they add to `len`).
+    fresh_keys: usize,
     hits: u64,
     misses: u64,
 }
 
 impl KvStore {
-    /// An empty store with `shards` hash-table shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        Self::with_key_capacity(shards, 0)
-    }
-
-    /// An empty store pre-sized for about `keys` resident keys spread
-    /// over `shards` shards — skips the rehash chain a large preload
-    /// (e.g. the ETC cache fill) would otherwise walk. Capacity is an
-    /// allocation hint only; contents and lookup results are identical
-    /// to [`KvStore::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_key_capacity(shards: usize, keys: usize) -> Self {
-        assert!(shards > 0, "store needs at least one shard");
-        // Headroom over the even split: Fibonacci sharding is not
-        // perfectly uniform, and hash maps resize at ~7/8 load.
-        let per_shard = keys / shards + keys / (4 * shards).max(1) + 8;
+    /// A store holding keys `0..keys`, each with an ETC value size at
+    /// version 0 drawn from `rng` — the cache fill ETC reads against.
+    /// Draws exactly `keys` uniforms, and key `k` sees the size an eager
+    /// fill that sampled the ETC value-size distribution once per key, in
+    /// key order, would have given it.
+    pub fn preloaded(keys: u64, rng: &mut SimRng) -> Self {
+        let mut preload = vec![0.0; keys as usize];
+        rng.fill_f64(&mut preload);
         KvStore {
-            shards: (0..shards)
-                .map(|_| FxHashMap::with_capacity_and_hasher(per_shard, Default::default()))
-                .collect(),
+            value_size: etc_value_size(),
+            preload,
+            written: FxHashMap::default(),
+            fresh_keys: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn shard_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9e3779b97f4a7c15) >> 33) as usize % self.shards.len()
+    /// The current value of `key`, without touching the statistics.
+    fn peek(&self, key: u64) -> Option<StoredValue> {
+        if let Some(v) = self.written.get(&key) {
+            return Some(*v);
+        }
+        let raw = *self.preload.get(usize::try_from(key).ok()?)?;
+        Some(StoredValue { size: value_bytes(self.value_size.from_unit(raw)), version: 0 })
     }
 
     /// Reads a key, recording hit/miss statistics.
     pub fn get(&mut self, key: u64) -> Option<StoredValue> {
-        let shard = self.shard_of(key);
-        match self.shards[shard].get(&key) {
-            Some(v) => {
-                self.hits += 1;
-                Some(*v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let found = self.peek(key);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        found
     }
 
     /// Writes a key, returning the previous value if any.
     pub fn set(&mut self, key: u64, size: u32) -> Option<StoredValue> {
-        let shard = self.shard_of(key);
-        let next_version = self.shards[shard].get(&key).map(|v| v.version + 1).unwrap_or(0);
-        self.shards[shard].insert(key, StoredValue { size, version: next_version })
+        let prev = self.peek(key);
+        if prev.is_none() {
+            self.fresh_keys += 1;
+        }
+        let version = prev.map_or(0, |v| v.version + 1);
+        self.written.insert(key, StoredValue { size, version });
+        prev
     }
 
     /// Number of resident keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(FxHashMap::len).sum()
+        self.preload.len() + self.fresh_keys
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of keys written since construction (the overlay's size).
+    pub fn written_keys(&self) -> usize {
+        self.written.len()
     }
 
     /// Hit ratio so far (1.0 before any GET).
@@ -158,7 +189,7 @@ impl EtcWorkload {
         assert!(keys > 0, "ETC needs a non-empty keyspace");
         EtcWorkload {
             key_size: Gev::new(30.7984, 8.20449, 0.078688),
-            value_size: GeneralizedPareto::new(0.0, 214.476, 0.348238),
+            value_size: etc_value_size(),
             popularity: Zipf::new(keys.min(1_000_000) as usize, 0.99),
             keys,
             get_ratio: 30.0 / 31.0,
@@ -170,7 +201,7 @@ impl EtcWorkload {
         let op = if rng.next_bool(self.get_ratio) { KvOp::Get } else { KvOp::Set };
         let key = self.popularity.sample_rank(rng) as u64 % self.keys;
         let key_size = self.key_size.sample(rng).clamp(1.0, 250.0) as u32;
-        let value_size = self.value_size.sample(rng).clamp(1.0, 1_000_000.0) as u32;
+        let value_size = value_bytes(self.value_size.sample(rng));
         RequestDescriptor::Kv { op, key, key_size, value_size }
     }
 }
@@ -224,15 +255,10 @@ impl KvService {
         horizon: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut store = KvStore::with_key_capacity(config.workers.max(1) * 4, config.preload_keys as usize);
         let workload = EtcWorkload::new(config.preload_keys);
         // Preload so GETs mostly hit (ETC is a cache-fill-then-read
         // pattern; the paper fills before measuring).
-        let mut preload_rng = rng.split();
-        for key in 0..config.preload_keys {
-            let size = workload.value_size.sample(&mut preload_rng).clamp(1.0, 1_000_000.0) as u32;
-            store.set(key, size);
-        }
+        let store = KvStore::preloaded(config.preload_keys, &mut rng.split());
         let mut pool = WorkerPool::new(server, env, config.workers, interference, horizon, rng);
         pool.set_contention_coef(0.35); // hash-table walks are memory-bound
         KvService {
@@ -336,7 +362,7 @@ mod tests {
 
     #[test]
     fn store_get_set_roundtrip() {
-        let mut s = KvStore::new(4);
+        let mut s = KvStore::preloaded(0, &mut SimRng::seed_from_u64(0));
         assert!(s.is_empty());
         assert!(s.set(1, 10).is_none());
         let prev = s.set(1, 20).unwrap();
@@ -350,12 +376,34 @@ mod tests {
 
     #[test]
     fn store_tracks_hit_ratio() {
-        let mut s = KvStore::new(2);
+        let mut s = KvStore::preloaded(0, &mut SimRng::seed_from_u64(0));
         s.set(1, 10);
         s.get(1);
         s.get(2);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(KvStore::new(1).hit_ratio(), 1.0);
+        assert_eq!(KvStore::preloaded(0, &mut SimRng::seed_from_u64(0)).hit_ratio(), 1.0);
+    }
+
+    #[test]
+    fn set_on_preloaded_key_bumps_its_version() {
+        let mut s = KvStore::preloaded(10, &mut SimRng::seed_from_u64(8));
+        let mut eager = SimRng::seed_from_u64(8);
+        let sizes: Vec<u32> = (0..10).map(|_| value_bytes(etc_value_size().sample(&mut eager))).collect();
+        let prev = s.set(3, 999).expect("key 3 is preloaded");
+        assert_eq!(prev, StoredValue { size: sizes[3], version: 0 });
+        assert_eq!(s.get(3), Some(StoredValue { size: 999, version: 1 }));
+        assert_eq!(s.get(4), Some(StoredValue { size: sizes[4], version: 0 }));
+        assert_eq!(s.len(), 10, "rewriting a preloaded key adds no key");
+        assert!(s.set(10, 5).is_none());
+        assert_eq!(s.len(), 11);
+        assert_eq!(s.written_keys(), 2);
+    }
+
+    #[test]
+    fn construction_writes_nothing() {
+        let (svc, _) = service(&MachineConfig::server_baseline(), 9);
+        assert_eq!(svc.store().len(), 1_000);
+        assert_eq!(svc.store().written_keys(), 0);
     }
 
     #[test]

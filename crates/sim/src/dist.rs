@@ -278,11 +278,19 @@ impl Pareto {
         assert!(scale > 0.0 && alpha > 0.0, "bad pareto parameters ({scale}, {alpha})");
         Pareto { scale, inv_alpha: 1.0 / alpha }
     }
+
+    /// The inverse-CDF transform of one raw `[0, 1)` uniform (as drawn
+    /// by [`SimRng::next_f64`]) into a Pareto variate. Pure — shared by
+    /// the scalar and bulk sampling paths.
+    #[inline]
+    pub fn from_unit(&self, u: f64) -> f64 {
+        self.scale / fast_pow(1.0 - u, self.inv_alpha)
+    }
 }
 
 impl Sampler for Pareto {
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale / fast_pow(1.0 - rng.next_f64(), self.inv_alpha)
+        self.from_unit(rng.next_f64())
     }
 }
 
@@ -308,16 +316,25 @@ impl GeneralizedPareto {
         assert!(scale > 0.0, "GPD scale must be positive, got {scale}");
         GeneralizedPareto { location, scale, shape }
     }
-}
 
-impl Sampler for GeneralizedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = 1.0 - rng.next_f64(); // in (0,1]
+    /// The inverse-CDF transform of one raw `[0, 1)` uniform (as drawn
+    /// by [`SimRng::next_f64`]) into a GPD variate. Pure — shared by the
+    /// scalar and bulk sampling paths, so a value can be derived later
+    /// from a stored uniform with the bits a direct draw would give.
+    #[inline]
+    pub fn from_unit(&self, raw: f64) -> f64 {
+        let u = 1.0 - raw; // in (0,1]
         if self.shape.abs() < 1e-12 {
             self.location - self.scale * fast_ln(u)
         } else {
             self.location + self.scale * (fast_pow(u, -self.shape) - 1.0) / self.shape
         }
+    }
+}
+
+impl Sampler for GeneralizedPareto {
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        self.from_unit(rng.next_f64())
     }
 }
 
@@ -342,17 +359,25 @@ impl Gev {
         assert!(scale > 0.0, "GEV scale must be positive, got {scale}");
         Gev { location, scale, shape }
     }
-}
 
-impl Sampler for Gev {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = 1.0 - rng.next_f64(); // in (0,1]
+    /// The inverse-CDF transform of one raw `[0, 1)` uniform (as drawn
+    /// by [`SimRng::next_f64`]) into a GEV variate. Pure — shared by the
+    /// scalar and bulk sampling paths.
+    #[inline]
+    pub fn from_unit(&self, raw: f64) -> f64 {
+        let u = 1.0 - raw; // in (0,1]
         let ln_u = -fast_ln(u); // Exp(1)
         if self.shape.abs() < 1e-12 {
             self.location - self.scale * fast_ln(ln_u)
         } else {
             self.location + self.scale * (fast_pow(ln_u, -self.shape) - 1.0) / self.shape
         }
+    }
+}
+
+impl Sampler for Gev {
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        self.from_unit(rng.next_f64())
     }
 }
 

@@ -166,10 +166,12 @@ impl SimRng {
 
     /// Derives a child generator for a named component.
     ///
-    /// Unlike [`split`](Self::split), the child depends only on the parent's
-    /// *seed state* and the label — not on how many draws the parent has
-    /// made — so components created in different orders still receive the
-    /// same streams.
+    /// Unlike [`split`](Self::split), forking does not advance the parent:
+    /// the child is a pure function of the parent's *current* state and
+    /// the label, so components forked from the same state receive the
+    /// same streams whatever order they are created in. The child does
+    /// depend on how many draws the parent has made — forking the same
+    /// label before and after a draw yields different streams.
     pub fn fork(&self, label: u64) -> SimRng {
         let mut sm = SplitMix64::new(self.s[0] ^ self.s[2].rotate_left(17) ^ label);
         let mut s = [0u64; 4];
@@ -285,6 +287,17 @@ mod tests {
         let mut c1b = r2.fork(1);
         assert_eq!(c1.next_u64(), c1b.next_u64());
         assert_eq!(c2.next_u64(), c2b.next_u64());
+    }
+
+    #[test]
+    fn fork_reads_the_live_state_without_advancing_it() {
+        let mut r = SimRng::seed_from_u64(77);
+        let before = r.fork(1).next_u64();
+        let mut untouched = SimRng::seed_from_u64(77);
+        assert_eq!(r.clone().next_u64(), untouched.next_u64(), "fork advanced the parent");
+        assert_eq!(r.fork(1).next_u64(), before, "same state and label, same child");
+        r.next_u64();
+        assert_ne!(r.fork(1).next_u64(), before, "child ignores the parent's draw count");
     }
 
     #[test]

@@ -66,6 +66,39 @@ fn samplers_consume_the_pinned_number_of_draws() {
     assert_draws(&Empirical::new(vec![1.0, 2.0, 3.0]), 1, "Empirical");
 }
 
+/// `sample` on an inverse-transform sampler is exactly one `next_f64`
+/// draw fed to its pure `from_unit` transform. The lazy KV preload relies
+/// on this: it stores raw uniforms and transforms them on read, which is
+/// only bit-identical to eager sampling if the two paths share the bits
+/// and the stride.
+#[test]
+fn sample_is_from_unit_of_one_draw() {
+    fn check(what: &str, sample: impl Fn(&mut SimRng) -> f64, from_unit: impl Fn(f64) -> f64) {
+        for seed in [1u64, 2024, 77, u64::MAX] {
+            let pristine = SimRng::seed_from_u64(seed);
+            let mut sampled = pristine.clone();
+            let mut raw = pristine.clone();
+            for i in 0..256 {
+                let a = sample(&mut sampled);
+                let b = from_unit(raw.next_f64());
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: seed {seed} draw {i}: {a} vs {b}");
+            }
+            let mut one = pristine.clone();
+            sample(&mut one);
+            assert_eq!(draws_consumed(&pristine, &one), 1, "{what} must consume exactly one draw");
+        }
+    }
+    for p in [Pareto::new(1.0, 1.5), Pareto::new(0.5, 3.0)] {
+        check("Pareto", |rng| p.sample(rng), |u| p.from_unit(u));
+    }
+    for g in [GeneralizedPareto::new(0.0, 214.476, 0.348238), GeneralizedPareto::new(2.0, 5.0, 0.0)] {
+        check("GeneralizedPareto", |rng| g.sample(rng), |u| g.from_unit(u));
+    }
+    for g in [Gev::new(30.7984, 8.20449, 0.078688), Gev::new(0.0, 1.0, 0.0)] {
+        check("Gev", |rng| g.sample(rng), |u| g.from_unit(u));
+    }
+}
+
 /// Arrival gap draws follow the same contract, expressed through
 /// `uniforms_per_gap` (which the batching layer trusts for stride math).
 #[test]

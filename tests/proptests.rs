@@ -2,14 +2,87 @@
 //! inputs, checked with proptest.
 
 use proptest::prelude::*;
-use tpv::sim::dist::{Exponential, Sampler};
+use std::collections::HashMap;
+use tpv::services::kv::{KvStore, StoredValue};
+use tpv::sim::dist::{Exponential, GeneralizedPareto, Sampler};
 use tpv::sim::{EventQueue, FifoResource, LatencyHistogram, SimDuration, SimRng, SimTime};
 use tpv::stats::ci::{nonparametric_ci_ranks, nonparametric_median_ci};
 use tpv::stats::desc;
 use tpv::stats::normality::shapiro_wilk;
 
+/// The eager KV store the lazy preload replaced: every preloaded key is
+/// sampled up front, in key order, and inserted into one hash map.
+struct EagerKv {
+    map: HashMap<u64, StoredValue>,
+    hits: u64,
+    misses: u64,
+}
+
+impl EagerKv {
+    fn preloaded(keys: u64, rng: &mut SimRng) -> Self {
+        let value_size = GeneralizedPareto::new(0.0, 214.476, 0.348238);
+        let mut kv = EagerKv { map: HashMap::new(), hits: 0, misses: 0 };
+        for key in 0..keys {
+            let size = value_size.sample(rng).clamp(1.0, 1_000_000.0) as u32;
+            kv.set(key, size);
+        }
+        kv
+    }
+
+    fn get(&mut self, key: u64) -> Option<StoredValue> {
+        let found = self.map.get(&key).copied();
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
+    fn set(&mut self, key: u64, size: u32) -> Option<StoredValue> {
+        let version = self.map.get(&key).map_or(0, |v| v.version + 1);
+        self.map.insert(key, StoredValue { size, version })
+    }
+
+    fn hit_ratio(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            1.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lazily preloaded KV store is observably the eager one: the
+    /// same results for every GET and SET (sizes and versions), the same
+    /// `len` and hit ratio, and the same RNG stream position afterwards,
+    /// over random traffic to keys inside and outside the preload range.
+    #[test]
+    fn lazy_kv_preload_matches_eager_preload(
+        seed in 0u64..1_000_000,
+        keys in 0u64..300,
+        ops in prop::collection::vec((0u8..4, 0u64..400, 1u32..5_000), 0..200),
+    ) {
+        let mut lazy_rng = SimRng::seed_from_u64(seed);
+        let mut eager_rng = SimRng::seed_from_u64(seed);
+        let mut lazy = KvStore::preloaded(keys, &mut lazy_rng);
+        let mut eager = EagerKv::preloaded(keys, &mut eager_rng);
+        prop_assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64(), "preload consumed a different stride");
+        prop_assert_eq!(lazy.len(), eager.map.len());
+        for (i, &(op, key, size)) in ops.iter().enumerate() {
+            if op == 0 {
+                prop_assert_eq!(lazy.set(key, size), eager.set(key, size), "op {} SET {}", i, key);
+            } else {
+                prop_assert_eq!(lazy.get(key), eager.get(key), "op {} GET {}", i, key);
+            }
+            prop_assert_eq!(lazy.len(), eager.map.len(), "len after op {}", i);
+        }
+        prop_assert_eq!(lazy.hit_ratio().to_bits(), eager.hit_ratio().to_bits());
+    }
 
     /// The histogram's percentile never undershoots the exact quantile and
     /// overshoots by at most the bucket's relative error.
