@@ -117,6 +117,19 @@ fn cases() -> Vec<(&'static str, Parts)> {
             },
         ),
         (
+            // The shape the repository benchmark runs (4096 vectors,
+            // 256 profile queries): pins the full-size index build.
+            "hdsearch-hp-default",
+            Parts {
+                service: ServiceConfig::new(ServiceKind::HdSearch(HdSearchConfig::default())),
+                client: MachineConfig::high_performance(),
+                server: MachineConfig::server_baseline(),
+                generator: GeneratorSpec::microsuite_client(),
+                link: LinkConfig::cloudlab_lan(),
+                qps: 1_000.0,
+            },
+        ),
+        (
             "socialnet-lp-base",
             Parts {
                 service: ServiceConfig::new(ServiceKind::SocialNetwork(SocialConfig {
@@ -591,6 +604,8 @@ const GOLDEN: &[Golden] = &[
     Golden { name: "memcached-lp-c1eon", seed: 7, row: [92922, 82943, 231423, 298605, 37073, 2705, 4677117487085829537, 4677104761256804352, 4607047895694264783, 63574, 288, 1610, 3027, 431, 4608389960108623071, 0] },
     Golden { name: "hdsearch-hp-base", seed: 2024, row: [334974, 335871, 455321, 455321, 24765, 61, 4652682979097784168, 4652007308841189376, 0, 2000, 68, 0, 0, 0, 4597819831491481356, 0] },
     Golden { name: "hdsearch-hp-base", seed: 7, row: [325160, 331775, 443518, 443518, 38995, 77, 4653986103989963131, 4652007308841189376, 0, 2000, 84, 0, 0, 0, 4597820984412985963, 0] },
+    Golden { name: "hdsearch-hp-default", seed: 2024, row: [816889, 770047, 1572147, 1572147, 193557, 61, 4652682979097784168, 4652007308841189376, 0, 2000, 68, 0, 0, 0, 4597821416866636581, 0] },
+    Golden { name: "hdsearch-hp-default", seed: 7, row: [849465, 794623, 1598861, 1598861, 200645, 77, 4653986103989963131, 4652007308841189376, 0, 2000, 84, 0, 0, 0, 4597832944424357986, 0] },
     Golden { name: "socialnet-lp-base", seed: 2024, row: [2008732, 1359871, 5754657, 5754657, 1307849, 21, 4645549021875550436, 4643985272004935680, 4607182418800017408, 120724, 0, 3, 28, 22, 4587347853031184738, 0] },
     Golden { name: "socialnet-lp-base", seed: 7, row: [2534609, 1261567, 12401600, 12401600, 2483363, 30, 4648097934164652487, 4643985272004935680, 4607182418800017408, 111810, 2, 2, 36, 29, 4588863960799322860, 0] },
     Golden { name: "synthetic-hp-100us", seed: 2024, row: [157598, 151551, 266239, 328563, 25195, 527, 4666590823845481434, 4666723172467343360, 0, 3499, 1201, 0, 0, 0, 4612592153492312952, 0] },
