@@ -2,10 +2,9 @@
 //! tables.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs ~10x more than a
-//! multiply-xor mix, and every simulated request walks at least one
-//! hash table (the KV store, the LSH buckets). Simulation tables hash
-//! *simulated* keys — there is no adversary — so the cheap mix is the
-//! right trade.
+//! multiply-xor mix, and simulated SETs walk the KV store's write
+//! overlay. Simulation tables hash *simulated* keys — there is no
+//! adversary — so the cheap mix is the right trade.
 //!
 //! Safety for determinism: the services only ever `get`/`insert` on
 //! these maps, never iterate, so the hasher cannot influence simulated

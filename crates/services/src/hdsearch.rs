@@ -13,6 +13,14 @@
 //! profile measured against the index at startup — so the service-time
 //! distribution is grounded in the real data structure while the
 //! simulation stays cheap per request.
+//!
+//! Building the index and its profile is the service's whole set-up cost,
+//! so the index is laid out for that build: one flat dataset array,
+//! hyperplanes stored transposed so one pass over a vector advances every
+//! plane's dot product together, one sorted CSR (compressed sparse row)
+//! bucket array per table, and a dense bitset for a query's candidate
+//! union. The layout changes no bit of any signature, bucket or
+//! candidate set; [`LshIndex`] says why.
 
 use tpv_hw::{MachineConfig, RunEnvironment};
 use tpv_net::StackCosts;
@@ -23,35 +31,108 @@ use crate::interference::InterferenceProfile;
 use crate::request::{RequestDescriptor, ServiceCompletion, StageCtx, StageOutcome};
 use crate::worker_pool::WorkerPool;
 
-/// A feature vector.
-pub type Vector = Vec<f32>;
+/// Most hyperplanes a table may have: a signature is one bit per plane
+/// in a `u64`.
+const MAX_PLANES: usize = 63;
 
-/// One LSH table: random hyperplanes + hash buckets.
+/// One LSH table: transposed hyperplanes plus CSR buckets.
 #[derive(Debug)]
 struct LshTable {
-    hyperplanes: Vec<Vector>,
-    buckets: crate::fasthash::FxHashMap<u64, Vec<u32>>,
+    planes: usize,
+    /// Hyperplane coordinates, `[dim][planes]`: entry `d * planes + p` is
+    /// coordinate `d` of plane `p`.
+    planes_t: Vec<f32>,
+    /// The distinct signatures, ascending.
+    sigs: Vec<u64>,
+    /// `ids[starts[i]..starts[i + 1]]` is the bucket of `sigs[i]`.
+    starts: Vec<u32>,
+    /// Every indexed id once, grouped by bucket, ascending within one.
+    ids: Vec<u32>,
 }
 
 impl LshTable {
-    fn hash(&self, v: &[f32]) -> u64 {
-        let mut sig = 0u64;
-        for (i, plane) in self.hyperplanes.iter().enumerate() {
-            let dot: f32 = plane.iter().zip(v).map(|(a, b)| a * b).sum();
-            if dot >= 0.0 {
-                sig |= 1 << i;
+    /// Draws `planes` random unit hyperplanes and buckets every row of
+    /// `data` by its signature. Hashing draws nothing.
+    fn build(data: &[f32], dim: usize, planes: usize, rng: &mut SimRng) -> Self {
+        let mut planes_t = vec![0.0; dim * planes];
+        let mut plane = vec![0.0f32; dim];
+        for p in 0..planes {
+            plane.iter_mut().for_each(|x| *x = Normal::standard_sample(rng) as f32);
+            let norm = plane.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
+            for (d, x) in plane.iter().enumerate() {
+                planes_t[d * planes + p] = x / norm;
             }
         }
-        sig
+        let mut table = LshTable { planes, planes_t, sigs: Vec::new(), starts: Vec::new(), ids: Vec::new() };
+        let mut keyed: Vec<(u64, u32)> =
+            data.chunks_exact(dim).enumerate().map(|(id, v)| (table.hash(v), id as u32)).collect();
+        keyed.sort_unstable();
+        for (at, &(sig, _)) in keyed.iter().enumerate() {
+            if table.sigs.last() != Some(&sig) {
+                table.sigs.push(sig);
+                table.starts.push(at as u32);
+            }
+        }
+        table.starts.push(keyed.len() as u32);
+        table.ids = keyed.into_iter().map(|(_, id)| id).collect();
+        table
+    }
+
+    /// Every plane's dot product with `v` (lanes past `planes` stay
+    /// `-0.0`). One accumulator per plane, all advancing together over
+    /// `dim`; each starts at `-0.0` and adds its products in `dim` order,
+    /// as `Iterator::sum` does.
+    fn dots(&self, v: &[f32]) -> [f32; MAX_PLANES] {
+        let mut lanes = [-0.0f32; MAX_PLANES];
+        let acc = &mut lanes[..self.planes];
+        for (&x, row) in v.iter().zip(self.planes_t.chunks_exact(self.planes)) {
+            for (a, &w) in acc.iter_mut().zip(row) {
+                *a += w * x;
+            }
+        }
+        lanes
+    }
+
+    /// The signature of `v`: bit `p` is set when `dot(plane p, v) >= 0`.
+    fn hash(&self, v: &[f32]) -> u64 {
+        let dots = self.dots(v);
+        dots[..self.planes].iter().enumerate().fold(0, |sig, (p, &dot)| sig | (u64::from(dot >= 0.0) << p))
+    }
+
+    /// The ids whose signature is `sig`, ascending (empty if none).
+    fn bucket(&self, sig: u64) -> &[u32] {
+        let i = self.sigs.partition_point(|&s| s < sig);
+        if self.sigs.get(i) == Some(&sig) {
+            &self.ids[self.starts[i] as usize..self.starts[i + 1] as usize]
+        } else {
+            &[]
+        }
     }
 }
 
 /// A multi-table random-hyperplane LSH index over a vector dataset.
+///
+/// The layout serves the build, which is most of a service instance's
+/// set-up, and reproduces bit for bit what a per-plane `.sum()` hash,
+/// hash-map buckets and a hash-set candidate union compute:
+///
+/// * The dataset is one row-major `Vec<f32>`, `len × dim` values.
+/// * Each table stores its hyperplanes transposed (`[dim][planes]`) and
+///   hashes a vector with one accumulator per plane, all advancing
+///   together over `dim`. Each accumulator adds the same products in the
+///   same order as `.sum()`, and Rust never fuses a multiply and an add,
+///   so every dot product is the same f32. (A sign of zero could not
+///   change the signature bit `dot >= 0.0` anyway.)
+/// * Each table's buckets are one CSR array: the distinct signatures in
+///   ascending order, found by `partition_point`, with each bucket's ids
+///   stored contiguously in ascending order.
+/// * A query's candidate union over the tables is a dense `len`-bit
+///   bitset, read in ascending id order: the same set, already sorted.
 #[derive(Debug)]
 pub struct LshIndex {
     dim: usize,
     tables: Vec<LshTable>,
-    data: Vec<Vector>,
+    data: Vec<f32>,
     shards: usize,
 }
 
@@ -59,57 +140,62 @@ fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-fn random_unit_vector(dim: usize, rng: &mut SimRng) -> Vector {
-    let mut v: Vector = (0..dim).map(|_| Normal::standard_sample(rng) as f32).collect();
-    let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
-    v.iter_mut().for_each(|x| *x /= norm);
-    v
+/// Generates a clustered synthetic dataset (images of similar scenes have
+/// nearby feature vectors; clusters model that structure): `n` row-major
+/// vectors of `dim` values.
+pub fn clustered_dataset(n: usize, dim: usize, clusters: usize, rng: &mut SimRng) -> Vec<f32> {
+    assert!(clusters > 0, "need at least one cluster");
+    let centers: Vec<f32> = (0..clusters * dim).map(|_| Normal::standard_sample(rng) as f32 * 4.0).collect();
+    let mut data = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        let c = &centers[(i % clusters) * dim..][..dim];
+        data.extend(c.iter().map(|&x| x + Normal::standard_sample(rng) as f32 * 0.6));
+    }
+    data
 }
 
-/// Generates a clustered synthetic dataset (images of similar scenes have
-/// nearby feature vectors; clusters model that structure).
-pub fn clustered_dataset(n: usize, dim: usize, clusters: usize, rng: &mut SimRng) -> Vec<Vector> {
-    assert!(clusters > 0, "need at least one cluster");
-    let centers: Vec<Vector> = (0..clusters)
-        .map(|_| (0..dim).map(|_| Normal::standard_sample(rng) as f32 * 4.0).collect())
-        .collect();
-    (0..n)
-        .map(|i| {
-            let c = &centers[i % clusters];
-            c.iter().map(|&x| x + Normal::standard_sample(rng) as f32 * 0.6).collect()
+/// The ids set in a candidate bitset, ascending.
+fn set_ids(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                (w * 64) as u32 + bit
+            })
         })
-        .collect()
+    })
 }
 
 impl LshIndex {
-    /// Builds an index over `data` with `tables` tables of `planes`
-    /// hyperplanes each, logically sharded across `shards` bucket servers.
+    /// Builds an index over `data` (row-major vectors of `dim` values)
+    /// with `tables` tables of `planes` hyperplanes each, logically
+    /// sharded across `shards` bucket servers.
     ///
     /// # Panics
     ///
-    /// Panics on an empty dataset, zero tables/planes/shards, or planes > 63.
-    pub fn build(data: Vec<Vector>, tables: usize, planes: usize, shards: usize, rng: &mut SimRng) -> Self {
-        assert!(!data.is_empty(), "LSH needs data");
-        assert!(tables > 0 && planes > 0 && planes <= 63, "bad LSH shape");
+    /// Panics on an empty dataset, zero `dim`, a length that is not a
+    /// multiple of `dim`, zero tables/planes/shards, or planes > 63.
+    pub fn build(
+        data: Vec<f32>,
+        dim: usize,
+        tables: usize,
+        planes: usize,
+        shards: usize,
+        rng: &mut SimRng,
+    ) -> Self {
+        assert!(!data.is_empty() && dim > 0, "LSH needs data");
+        assert_eq!(data.len() % dim, 0, "inconsistent vector dimensionality");
+        assert!(tables > 0 && planes > 0 && planes <= MAX_PLANES, "bad LSH shape");
         assert!(shards > 0, "need at least one shard");
-        let dim = data[0].len();
-        let mut built = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let hyperplanes = (0..planes).map(|_| random_unit_vector(dim, rng)).collect();
-            let mut table = LshTable { hyperplanes, buckets: crate::fasthash::FxHashMap::default() };
-            for (id, v) in data.iter().enumerate() {
-                assert_eq!(v.len(), dim, "inconsistent vector dimensionality");
-                let h = table.hash(v);
-                table.buckets.entry(h).or_default().push(id as u32);
-            }
-            built.push(table);
-        }
-        LshIndex { dim, tables: built, data, shards }
+        let tables = (0..tables).map(|_| LshTable::build(&data, dim, planes, rng)).collect();
+        LshIndex { dim, tables, data, shards }
     }
 
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() / self.dim
     }
 
     /// Whether the index is empty (never true after `build`).
@@ -122,25 +208,31 @@ impl LshIndex {
         self.dim
     }
 
+    /// The indexed vector `id`.
+    fn row(&self, id: usize) -> &[f32] {
+        &self.data[id * self.dim..][..self.dim]
+    }
+
     /// The shard an indexed vector lives on.
     pub fn shard_of(&self, id: u32) -> usize {
         id as usize % self.shards
     }
 
-    /// Retrieves the deduplicated candidate set for a query.
-    pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
-        let mut seen = std::collections::HashSet::new();
+    /// The union of the query's buckets over every table, as a bitset
+    /// (bit `id % 64` of word `id / 64`).
+    fn candidate_bits(&self, query: &[f32]) -> Vec<u64> {
+        let mut bits = vec![0u64; self.len().div_ceil(64)];
         for table in &self.tables {
-            let h = table.hash(query);
-            if let Some(bucket) = table.buckets.get(&h) {
-                for &id in bucket {
-                    seen.insert(id);
-                }
+            for &id in table.bucket(table.hash(query)) {
+                bits[id as usize / 64] |= 1 << (id % 64);
             }
         }
-        let mut v: Vec<u32> = seen.into_iter().collect();
-        v.sort_unstable();
-        v
+        bits
+    }
+
+    /// Retrieves the deduplicated candidate set for a query, ascending.
+    pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
+        set_ids(&self.candidate_bits(query)).collect()
     }
 
     /// Full LSH query: candidates, exact distances, top-`k` nearest.
@@ -148,7 +240,7 @@ impl LshIndex {
         let mut scored: Vec<(u32, f32)> = self
             .candidates(query)
             .into_iter()
-            .map(|id| (id, squared_distance(&self.data[id as usize], query)))
+            .map(|id| (id, squared_distance(self.row(id as usize), query)))
             .collect();
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         scored.truncate(k);
@@ -157,8 +249,12 @@ impl LshIndex {
 
     /// Exact brute-force top-`k` (ground truth for recall tests).
     pub fn brute_force(&self, query: &[f32], k: usize) -> Vec<(u32, f32)> {
-        let mut scored: Vec<(u32, f32)> =
-            self.data.iter().enumerate().map(|(id, v)| (id as u32, squared_distance(v, query))).collect();
+        let mut scored: Vec<(u32, f32)> = self
+            .data
+            .chunks_exact(self.dim)
+            .enumerate()
+            .map(|(id, v)| (id as u32, squared_distance(v, query)))
+            .collect();
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         scored.truncate(k);
         scored
@@ -167,7 +263,7 @@ impl LshIndex {
     /// Per-shard candidate counts for a query (drives bucket-leg timing).
     pub fn shard_candidate_counts(&self, query: &[f32]) -> Vec<u32> {
         let mut counts = vec![0u32; self.shards];
-        for id in self.candidates(query) {
+        for id in set_ids(&self.candidate_bits(query)) {
             counts[self.shard_of(id)] += 1;
         }
         counts
@@ -213,17 +309,13 @@ impl Default for HdSearchConfig {
     }
 }
 
-/// A pre-measured query cost profile.
-#[derive(Debug, Clone)]
-struct QueryProfile {
-    shard_candidates: Vec<u32>,
-}
-
 /// The HDSearch service instance for one run.
 #[derive(Debug)]
 pub struct HdSearchService {
     index: LshIndex,
-    profiles: Vec<QueryProfile>,
+    /// Pre-measured query cost profiles: per-shard candidate counts, one
+    /// row of `shards` counts per profile query.
+    profiles: Vec<u32>,
     midtier: WorkerPool,
     buckets: WorkerPool,
     config: HdSearchConfig,
@@ -245,18 +337,27 @@ impl HdSearchService {
         // Forked, not split: building the dataset leaves the run's stream
         // untouched. The dataset still varies with the run's seed.
         let mut data_rng = rng.fork(0x4453);
-        let data = clustered_dataset(config.dataset_size, config.dim, 8, &mut data_rng);
-        let index = LshIndex::build(data, config.tables, config.planes, config.shards, &mut data_rng);
-        // Measure real per-query candidate counts once.
-        let profiles = (0..config.profile_queries.max(1))
-            .map(|i| {
-                let base = &clustered_dataset(1, config.dim, 1, &mut data_rng)[0];
-                // Mix a real dataset point in so queries hit populated buckets.
-                let anchor = (i * 17) % index.len();
-                let q: Vector = index.data[anchor].iter().zip(base).map(|(a, b)| a + 0.15 * b).collect();
-                QueryProfile { shard_candidates: index.shard_candidate_counts(&q) }
-            })
-            .collect();
+        let dim = config.dim;
+        let data = clustered_dataset(config.dataset_size, dim, 8, &mut data_rng);
+        let index = LshIndex::build(data, dim, config.tables, config.planes, config.shards, &mut data_rng);
+        // Measure real per-query candidate counts once. Each query is a
+        // one-point `clustered_dataset(1, dim, 1)` draw (a centre, then a
+        // point around it), mixed into a real dataset point so queries hit
+        // populated buckets; the draws and f32 operations run in that
+        // order, in two reused buffers.
+        let queries = config.profile_queries.max(1);
+        let mut profiles = Vec::with_capacity(queries * config.shards);
+        let mut center = vec![0.0f32; dim];
+        let mut q = vec![0.0f32; dim];
+        for i in 0..queries {
+            center.iter_mut().for_each(|c| *c = Normal::standard_sample(&mut data_rng) as f32 * 4.0);
+            let anchor = index.row((i * 17) % index.len());
+            for ((q, &a), &c) in q.iter_mut().zip(anchor).zip(&center) {
+                let base = c + Normal::standard_sample(&mut data_rng) as f32 * 0.6;
+                *q = a + 0.15 * base;
+            }
+            profiles.extend(index.shard_candidate_counts(&q));
+        }
         let midtier = WorkerPool::new(server, env, config.midtier_workers, interference, horizon, rng);
         let buckets = WorkerPool::new(server, env, config.bucket_workers, interference, horizon, rng);
         HdSearchService {
@@ -270,9 +371,14 @@ impl HdSearchService {
         }
     }
 
+    /// Number of pre-measured query profiles.
+    fn profile_count(&self) -> usize {
+        self.profiles.len() / self.config.shards
+    }
+
     /// Draws the next request descriptor (a query id into the profile set).
     pub fn next_descriptor(&self, rng: &mut SimRng) -> RequestDescriptor {
-        RequestDescriptor::Search { query_id: rng.next_index(self.profiles.len()) as u32 }
+        RequestDescriptor::Search { query_id: rng.next_index(self.profile_count()) as u32 }
     }
 
     /// Admits a query arriving at the midtier NIC at `arrival` (stage 0:
@@ -322,13 +428,14 @@ impl HdSearchService {
         rng: &mut SimRng,
     ) -> StageOutcome {
         let query_id = match desc {
-            RequestDescriptor::Search { query_id } => *query_id as usize % self.profiles.len(),
+            RequestDescriptor::Search { query_id } => *query_id as usize % self.profile_count(),
             other => panic!("HdSearchService got a non-search request: {other:?}"),
         };
         match stage {
             1 => {
                 // Fan-out: one leg per shard, in parallel on the bucket pool.
-                let profile = self.profiles[query_id].shard_candidates.clone();
+                let shards = self.config.shards;
+                let profile = &self.profiles[query_id * shards..][..shards];
                 let mut busy = SimDuration::from_ns(ctx.busy_ns);
                 let mut join = now;
                 for (shard, &cands) in profile.iter().enumerate() {
@@ -376,7 +483,7 @@ mod tests {
     fn small_index(seed: u64) -> (LshIndex, SimRng) {
         let mut rng = SimRng::seed_from_u64(seed);
         let data = clustered_dataset(1024, 32, 8, &mut rng);
-        let index = LshIndex::build(data, 4, 8, 4, &mut rng);
+        let index = LshIndex::build(data, 32, 4, 8, 4, &mut rng);
         (index, rng)
     }
 
@@ -393,7 +500,7 @@ mod tests {
     fn identical_vector_is_always_its_own_candidate() {
         let (index, _) = small_index(2);
         for id in [0usize, 100, 500, 1023] {
-            let q = index.data[id].clone();
+            let q = index.row(id).to_vec();
             let cands = index.candidates(&q);
             assert!(cands.contains(&(id as u32)), "vector {id} not in its own bucket");
             // And it is the top-ranked result with distance 0.
@@ -411,7 +518,8 @@ mod tests {
         for t in 0..trials {
             // Perturb a dataset point slightly: a realistic near-duplicate query.
             let anchor = (t * 31) % index.len();
-            let q: Vector = index.data[anchor]
+            let q: Vec<f32> = index
+                .row(anchor)
                 .iter()
                 .map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.1)
                 .collect();
@@ -431,7 +539,8 @@ mod tests {
         let mut total = 0usize;
         for t in 0..20 {
             let anchor = (t * 53) % index.len();
-            let q: Vector = index.data[anchor]
+            let q: Vec<f32> = index
+                .row(anchor)
                 .iter()
                 .map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.1)
                 .collect();
@@ -445,7 +554,7 @@ mod tests {
     #[test]
     fn shard_counts_sum_to_candidate_count() {
         let (index, _) = small_index(5);
-        let q = index.data[10].clone();
+        let q = index.row(10).to_vec();
         let counts = index.shard_candidate_counts(&q);
         let total: u32 = counts.iter().sum();
         assert_eq!(total as usize, index.candidates(&q).len());
@@ -471,13 +580,18 @@ mod tests {
     }
 
     fn service(seed: u64) -> (HdSearchService, SimRng) {
+        service_with(
+            HdSearchConfig { dataset_size: 1024, profile_queries: 64, ..HdSearchConfig::default() },
+            seed,
+        )
+    }
+
+    fn service_with(cfg: HdSearchConfig, seed: u64) -> (HdSearchService, SimRng) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let env = RunEnvironment::neutral();
-        let cfg = HdSearchConfig { dataset_size: 1024, profile_queries: 64, ..HdSearchConfig::default() };
         let svc = HdSearchService::new(
             cfg,
             &MachineConfig::server_baseline(),
-            &env,
+            &RunEnvironment::neutral(),
             &InterferenceProfile::none(),
             SimDuration::from_secs(1),
             &mut rng,
@@ -506,7 +620,7 @@ mod tests {
     fn queries_with_more_candidates_take_longer() {
         let (mut svc, mut rng) = service(7);
         // Find the cheapest and dearest profiles.
-        let sums: Vec<u32> = svc.profiles.iter().map(|p| p.shard_candidates.iter().sum()).collect();
+        let sums: Vec<u32> = svc.profiles.chunks_exact(svc.config.shards).map(|p| p.iter().sum()).collect();
         let (min_id, _) = sums.iter().enumerate().min_by_key(|(_, &s)| s).unwrap();
         let (max_id, max_sum) = sums.iter().enumerate().max_by_key(|(_, &s)| s).unwrap();
         if *max_sum == 0 {
@@ -537,6 +651,165 @@ mod tests {
         // server_time accumulates every leg, so it exceeds the span of a
         // single leg.
         assert!(done.server_time >= SimDuration::from_us(100));
+    }
+
+    /// One dot product as the eager index computed it: a serial `.sum()`.
+    fn eager_dot(plane: &[f32], v: &[f32]) -> f32 {
+        plane.iter().zip(v).map(|(a, b)| a * b).sum()
+    }
+
+    fn eager_hash(planes: &[Vec<f32>], v: &[f32]) -> u64 {
+        let mut sig = 0u64;
+        for (i, plane) in planes.iter().enumerate() {
+            if eager_dot(plane, v) >= 0.0 {
+                sig |= 1 << i;
+            }
+        }
+        sig
+    }
+
+    /// One eager table: hyperplanes as rows, and its buckets.
+    type EagerTable = (Vec<Vec<f32>>, crate::fasthash::FxHashMap<u64, Vec<u32>>);
+
+    /// A replay of the eager index build and profile that `LshIndex`
+    /// replaced: `Vec<Vec<f32>>` rows, hyperplanes drawn per table,
+    /// `FxHashMap` buckets, per-plane `.sum()` hashing and a `HashSet`
+    /// candidate union sorted afterwards.
+    struct EagerIndex {
+        data: Vec<Vec<f32>>,
+        tables: Vec<EagerTable>,
+        shards: usize,
+        queries: Vec<Vec<f32>>,
+        profiles: Vec<Vec<u32>>,
+    }
+
+    fn eager_clustered_dataset(n: usize, dim: usize, clusters: usize, rng: &mut SimRng) -> Vec<Vec<f32>> {
+        let centers: Vec<Vec<f32>> = (0..clusters)
+            .map(|_| (0..dim).map(|_| Normal::standard_sample(rng) as f32 * 4.0).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                centers[i % clusters].iter().map(|&x| x + Normal::standard_sample(rng) as f32 * 0.6).collect()
+            })
+            .collect()
+    }
+
+    impl EagerIndex {
+        /// The index and profile `HdSearchService::new` built for `seed`.
+        fn replay(cfg: HdSearchConfig, seed: u64) -> Self {
+            let mut rng = SimRng::seed_from_u64(seed).fork(0x4453);
+            let data = eager_clustered_dataset(cfg.dataset_size, cfg.dim, 8, &mut rng);
+            let mut tables = Vec::new();
+            for _ in 0..cfg.tables {
+                let planes: Vec<Vec<f32>> = (0..cfg.planes)
+                    .map(|_| {
+                        let mut v: Vec<f32> =
+                            (0..cfg.dim).map(|_| Normal::standard_sample(&mut rng) as f32).collect();
+                        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
+                        v.iter_mut().for_each(|x| *x /= norm);
+                        v
+                    })
+                    .collect();
+                let mut buckets = crate::fasthash::FxHashMap::<u64, Vec<u32>>::default();
+                for (id, v) in data.iter().enumerate() {
+                    buckets.entry(eager_hash(&planes, v)).or_default().push(id as u32);
+                }
+                tables.push((planes, buckets));
+            }
+            let mut eager =
+                EagerIndex { data, tables, shards: cfg.shards, queries: Vec::new(), profiles: Vec::new() };
+            for i in 0..cfg.profile_queries.max(1) {
+                let base = &eager_clustered_dataset(1, cfg.dim, 1, &mut rng)[0];
+                let anchor = (i * 17) % eager.data.len();
+                let q: Vec<f32> = eager.data[anchor].iter().zip(base).map(|(a, b)| a + 0.15 * b).collect();
+                let mut counts = vec![0u32; eager.shards];
+                for id in eager.candidates(&q) {
+                    counts[id as usize % eager.shards] += 1;
+                }
+                eager.queries.push(q);
+                eager.profiles.push(counts);
+            }
+            eager
+        }
+
+        fn candidates(&self, query: &[f32]) -> Vec<u32> {
+            let mut seen = std::collections::HashSet::new();
+            for (planes, buckets) in &self.tables {
+                if let Some(bucket) = buckets.get(&eager_hash(planes, query)) {
+                    seen.extend(bucket.iter().copied());
+                }
+            }
+            let mut v: Vec<u32> = seen.into_iter().collect();
+            v.sort_unstable();
+            v
+        }
+    }
+
+    #[test]
+    fn index_matches_a_replay_of_the_eager_build() {
+        let cfg = HdSearchConfig::default();
+        for seed in 1..=8u64 {
+            let (svc, _) = service_with(cfg, seed);
+            let (index, eager) = (svc.index(), EagerIndex::replay(cfg, seed));
+            let flat: Vec<u32> = eager.data.iter().flatten().map(|x| x.to_bits()).collect();
+            let data: Vec<u32> = index.data.iter().map(|x| x.to_bits()).collect();
+            assert!(data == flat, "seed {seed}: dataset bits differ");
+            assert_eq!(index.tables.len(), eager.tables.len());
+            for (t, (table, (planes, buckets))) in index.tables.iter().zip(&eager.tables).enumerate() {
+                for (id, v) in eager.data.iter().enumerate() {
+                    let dots = table.dots(v);
+                    let mut sig = 0u64;
+                    for (p, plane) in planes.iter().enumerate() {
+                        let dot = eager_dot(plane, v);
+                        assert_eq!(
+                            dots[p].to_bits(),
+                            dot.to_bits(),
+                            "seed {seed} table {t} id {id} plane {p}"
+                        );
+                        sig |= u64::from(dot >= 0.0) << p;
+                    }
+                    assert_eq!(table.hash(v), sig, "seed {seed} table {t} id {id}: signature");
+                }
+                assert_eq!(table.sigs.len(), buckets.len(), "seed {seed} table {t}: bucket count");
+                for (&sig, ids) in buckets {
+                    assert_eq!(table.bucket(sig), ids.as_slice(), "seed {seed} table {t} bucket {sig:#x}");
+                }
+            }
+            for (i, q) in eager.queries.iter().enumerate() {
+                assert_eq!(index.candidates(q), eager.candidates(q), "seed {seed} query {i}: candidates");
+            }
+            assert_eq!(svc.profiles, eager.profiles.concat(), "seed {seed}: profile shard counts");
+        }
+    }
+
+    /// A vector exactly orthogonal to a hyperplane has dot `±0.0`, and both
+    /// signs of zero set the plane's bit (`dot >= 0.0`) in the lane-parallel
+    /// hash and in the eager `.sum()` hash alike.
+    #[test]
+    fn an_orthogonal_vector_sets_the_planes_bit() {
+        let mut rng = SimRng::seed_from_u64(11);
+        let dim = 8;
+        let index = LshIndex::build(clustered_dataset(64, dim, 2, &mut rng), dim, 1, 4, 1, &mut rng);
+        let table = &index.tables[0];
+        let plane: Vec<f32> = (0..dim).map(|d| table.planes_t[d * table.planes]).collect();
+        // Two products that cancel exactly (x·y, then y·(−x)): dot is +0.0.
+        let mut cancelling = vec![0.0f32; dim];
+        cancelling[0] = plane[1];
+        cancelling[1] = -plane[0];
+        // Zeros signed against the plane: every product, and the dot, is -0.0.
+        let negative_zeros: Vec<f32> =
+            plane.iter().map(|w| if w.is_sign_negative() { 0.0 } else { -0.0 }).collect();
+        for (v, zero) in [(cancelling, 0.0f32), (negative_zeros, -0.0)] {
+            let dot = eager_dot(&plane, &v);
+            assert_eq!(dot.to_bits(), zero.to_bits(), "eager dot {dot:?}");
+            assert_eq!(table.dots(&v)[0].to_bits(), zero.to_bits(), "lane-parallel dot");
+            assert_eq!(table.hash(&v) & 1, 1, "lane-parallel hash leaves the bit clear for {zero:?}");
+            assert_eq!(
+                eager_hash(std::slice::from_ref(&plane), &v) & 1,
+                1,
+                "eager hash leaves the bit clear for {zero:?}"
+            );
+        }
     }
 
     #[test]
