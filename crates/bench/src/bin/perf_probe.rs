@@ -49,7 +49,7 @@
 //!
 //! ```text
 //! perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME]
-//!            [--shards K] [--baseline PATH [--max-regression F]] [--pin]
+//!            [--shards K] [--baseline PATH [--max-regression F]]
 //!            [--min-shard-speedup F] [--summary PATH] [--write-baseline]
 //! ```
 //!
@@ -64,12 +64,6 @@
 //! `bench_baseline.json` in place from this probe's results;
 //! `--summary PATH` writes the markdown delta table CI appends to
 //! `$GITHUB_STEP_SUMMARY`.
-//!
-//! `--pin` runs the sharded scenarios' parallel legs with round-robin
-//! core pinning ([`PinPolicy::RoundRobin`]) and first asserts a pinned
-//! execution is bit-identical to an unpinned one — the kernel's
-//! determinism contract says pinning is a throughput knob, never a
-//! results knob, and this is the smoke test CI points at it.
 //!
 //! The sharded scenario is additionally gated on its measured speedup:
 //! it must reach `min(--min-shard-speedup, 0.7 × workers)` — the cap
@@ -91,9 +85,8 @@ use tpv_bench::perf::{
     RunnerInfo, ScenarioReport, Verdict, SCHEMA,
 };
 use tpv_core::collect::{Collector, EventCountCollector, PerCohortCollector, PhaseCollector};
-use tpv_core::runtime::{run_collected, run_sharded_collected_with, run_topology_sharded_with};
+use tpv_core::runtime::{run_collected, run_sharded_collected};
 use tpv_core::topology::{uniform_fleet, ClientNode, CohortSpec, NodeDynamics, ShardSpec, TopologySpec};
-use tpv_core::PinPolicy;
 use tpv_hw::MachineConfig;
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
 use tpv_net::LinkConfig;
@@ -119,9 +112,6 @@ struct Options {
     summary: Option<PathBuf>,
     /// Required fleet_256 parallel speedup (capped by 0.7 × workers).
     min_shard_speedup: f64,
-    /// Pin shard workers round-robin over cores (and smoke-check that
-    /// pinned and unpinned executions are bit-identical).
-    pin: bool,
     /// Shard count for `diurnal_8`: K > 1 runs the phased fleet over a
     /// K-shard tier through the canonical-order per-phase merge path.
     shards: usize,
@@ -142,7 +132,6 @@ fn parse_args() -> Result<Options, String> {
         write_baseline: false,
         summary: None,
         min_shard_speedup: 3.0,
-        pin: false,
         shards: 1,
     };
     let mut explicit_trials = None;
@@ -173,7 +162,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--shards must be positive".to_string());
                 }
             }
-            "--pin" => opts.pin = true,
             "--write-baseline" => opts.write_baseline = true,
             "--summary" => opts.summary = Some(PathBuf::from(args.next().ok_or("--summary needs a path")?)),
             "--min-shard-speedup" => {
@@ -189,7 +177,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME] [--shards K] \
-                     [--baseline PATH [--max-regression F]] [--pin] [--min-shard-speedup F] \
+                     [--baseline PATH [--max-regression F]] [--min-shard-speedup F] \
                      [--summary PATH] [--write-baseline]"
                 );
                 std::process::exit(0);
@@ -302,7 +290,7 @@ fn ab_ns_per_draw(
 /// consume the same number of uniforms per draw as the production path
 /// (1, or 2 for the Box–Muller pair), so the RNG overhead cancels and
 /// the ratio isolates the transcendental kernels.
-fn samplers(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn samplers(trials: usize) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_sim::dist::{Exponential, GeneralizedPareto, Gev, LogNormal, Normal, Pareto, Sampler, Zipf};
 
@@ -396,7 +384,7 @@ fn counted_run<C: Collector>(topo: &TopologySpec<'_>, extra: C) -> (u64, u64) {
     (collector.0.events(), result.samples)
 }
 
-fn static_1x1(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn static_1x1(trials: usize) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let nodes = [ClientNode::new(
@@ -418,7 +406,7 @@ fn static_1x1(trials: usize, _pin: PinPolicy) -> ScenarioReport {
     time_scenario("static_1x1", trials, || counted_run(&topo, tpv_core::collect::NullCollector))
 }
 
-fn fleet_16(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn fleet_16(trials: usize) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let nodes = uniform_fleet(
@@ -441,7 +429,7 @@ fn fleet_16(trials: usize, _pin: PinPolicy) -> ScenarioReport {
     time_scenario("fleet_16", trials, || counted_run(&topo, tpv_core::collect::NullCollector))
 }
 
-fn diurnal_8(trials: usize, pin: PinPolicy) -> ScenarioReport {
+fn diurnal_8(trials: usize) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let duration = SimDuration::from_ms(60);
@@ -477,7 +465,7 @@ fn diurnal_8(trials: usize, pin: PinPolicy) -> ScenarioReport {
         if shards > 1 {
             let schedule = topo.merged_schedule();
             let (result, _per_shard, collector) =
-                run_sharded_collected_with(&topo, SEED, shard_workers(), pin, |shard, shard_key| {
+                run_sharded_collected(&topo, SEED, shard_workers(), |shard, shard_key| {
                     (
                         EventCountCollector::new(),
                         PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
@@ -532,7 +520,7 @@ fn dual_timed(parallel: ScenarioReport, serial: ScenarioReport) -> ScenarioRepor
     }
 }
 
-fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
+fn fleet_256(trials: usize) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let shards = ShardSpec::uniform(server, 16);
@@ -554,22 +542,13 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
         cohorts: &[],
     };
     let workers = shard_workers();
-    if pin != PinPolicy::Off {
-        // The pinning smoke: core affinity is a throughput knob, never
-        // a results knob. Compare the *full* sharded result structures,
-        // not just work counters, before any timed leg runs pinned.
-        let unpinned = run_topology_sharded_with(&topo, SEED, workers, PinPolicy::Off);
-        let pinned = run_topology_sharded_with(&topo, SEED, workers, pin);
-        assert_eq!(unpinned, pinned, "fleet_256: pinned execution drifted from unpinned");
-        println!("ok    fleet_256: pinned run bit-identical to unpinned ({workers} workers)");
-    }
-    let probe = |workers: usize, pin: PinPolicy| {
+    let probe = |workers: usize| {
         let (result, _, counter) =
-            run_sharded_collected_with(&topo, SEED, workers, pin, |_, _| EventCountCollector::new());
+            run_sharded_collected(&topo, SEED, workers, |_, _| EventCountCollector::new());
         (counter.events(), result.samples)
     };
-    let parallel = time_scenario("fleet_256", trials, || probe(workers, pin));
-    let serial = time_scenario("fleet_256", trials, || probe(1, PinPolicy::Off));
+    let parallel = time_scenario("fleet_256", trials, || probe(workers));
+    let serial = time_scenario("fleet_256", trials, || probe(1));
     dual_timed(parallel, serial)
 }
 
@@ -582,7 +561,7 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
 /// where the kernel lets `tpv_bench::rss::reset_peak` open them, else
 /// the monotonic process-lifetime readings (which is why it still runs
 /// *after* `fleet_256` in the matrix).
-fn fleet_1m(trials: usize, pin: PinPolicy) -> ScenarioReport {
+fn fleet_1m(trials: usize) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let shards = ShardSpec::uniform(server, 16);
@@ -613,15 +592,15 @@ fn fleet_1m(trials: usize, pin: PinPolicy) -> ScenarioReport {
     // per-event attribution cost it claims is flat — cohort order in
     // the lowering is tracked-then-pooled per cohort, 3 nodes each.
     let cohort_of: Vec<Option<usize>> = (0..48).map(|i| Some(i / 3)).collect();
-    let probe = |workers: usize, pin: PinPolicy| {
-        let (result, _, (counter, _)) = run_sharded_collected_with(&topo, SEED, workers, pin, |_, _| {
+    let probe = |workers: usize| {
+        let (result, _, (counter, _)) = run_sharded_collected(&topo, SEED, workers, |_, _| {
             (EventCountCollector::new(), PerCohortCollector::new(cohort_of.clone(), 16))
         });
         (counter.events(), result.samples)
     };
     let workers = shard_workers();
-    let parallel = time_scenario("fleet_1m", trials, || probe(workers, pin));
-    let serial = time_scenario("fleet_1m", trials, || probe(1, PinPolicy::Off));
+    let parallel = time_scenario("fleet_1m", trials, || probe(workers));
+    let serial = time_scenario("fleet_1m", trials, || probe(1));
     dual_timed(parallel, serial)
 }
 
@@ -641,7 +620,7 @@ fn main() -> ExitCode {
         if opts.quick { ", --quick" } else { "" }
     );
 
-    type ScenarioFn = fn(usize, PinPolicy) -> ScenarioReport;
+    type ScenarioFn = fn(usize) -> ScenarioReport;
     // Order matters: without per-scenario RSS windows (see below),
     // fleet_1m's flat-memory gate compares its monotonic VmHWM reading
     // against the one taken right after fleet_256.
@@ -660,7 +639,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let pin = if opts.pin { PinPolicy::RoundRobin } else { PinPolicy::Off };
     DIURNAL_SHARDS.store(opts.shards, std::sync::atomic::Ordering::Relaxed);
     if opts.shards > 1 {
         println!("diurnal_8 fans out over a uniform {}-shard tier (--shards)\n", opts.shards);
@@ -678,7 +656,7 @@ fn main() -> ExitCode {
             if rss_windowed {
                 tpv_bench::rss::reset_peak();
             }
-            let mut report = run(opts.trials, pin);
+            let mut report = run(opts.trials);
             report.peak_rss_kb = tpv_bench::rss::peak_rss_kb();
             report
         })

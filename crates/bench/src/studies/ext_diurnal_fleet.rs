@@ -16,6 +16,7 @@
 //! regimes into one number that describes none of them.
 
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::runtime::run_phased_sharded;
 use tpv_core::topology::{uniform_fleet, ClientNode, NodeDynamics, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -67,7 +68,9 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let per_cell = ctx.run_phased_cells(&[topo], runs, env_seed());
+    let per_cell = ctx.run_cells(&[topo], runs, env_seed(), |t, seed, w| {
+        run_phased_sharded(t, seed, w).expect("run_cells validates every cell")
+    });
     let samples = &per_cell[0];
 
     let mut table = MarkdownTable::new(&[

@@ -24,6 +24,7 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::runtime::run_phased_sharded;
 use tpv_core::topology::{ClientNode, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, DynamicMachine, FreqDriver, FreqGovernor, MachineConfig, UncoreMode};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -119,7 +120,9 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_phased_cells(&cells, runs, env_seed());
+    let per_cell = ctx.run_cells(&cells, runs, env_seed(), |t, seed, w| {
+        run_phased_sharded(t, seed, w).expect("run_cells validates every cell")
+    });
     let tiers = ["uniform", "hot"];
 
     // When: the pooled per-phase regimes, side by side per tier.

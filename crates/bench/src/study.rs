@@ -13,8 +13,7 @@ use std::sync::Arc;
 
 use tpv_core::control::{ControlResult, ControlSpec, Controller, MitigationPolicy};
 use tpv_core::engine::{fingerprint_control, fingerprint_topology, Engine, JobPlan, RunCache};
-use tpv_core::runtime::PhasedFleetResult;
-use tpv_core::topology::{CohortedFleetResult, FleetResult, ShardedFleetResult, TopologySpec};
+use tpv_core::topology::TopologySpec;
 
 use crate::studies;
 
@@ -49,58 +48,22 @@ impl StudyCtx {
         self.engine.cache()
     }
 
-    /// Executes `runs` seeded fleet runs of every topology cell through
-    /// the context engine and regroups the results per cell — the fleet
-    /// counterpart of `Experiment::run_with`, shared by the topology
-    /// studies so the fingerprint → plan → execute → regroup convention
-    /// lives in one place.
-    pub fn run_fleet_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<FleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_topology(&plan, |cell| topos[cell]);
-        let mut per_cell: Vec<Vec<FleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, fleet) in results {
-            per_cell[cell].push(fleet);
-        }
-        per_cell
-    }
-
-    /// The sharded counterpart of [`StudyCtx::run_fleet_cells`]: every
-    /// topology cell executes as a
-    /// [`tpv_core::runtime::run_topology_sharded`] job, so each run
-    /// carries the per-shard breakdown next to its fleet result. The
-    /// engine splits its worker budget between job-level and intra-run
-    /// (shard-level) parallelism; results are bit-identical either way.
-    pub fn run_sharded_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<ShardedFleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_sharded(&plan, |cell| topos[cell]);
-        let mut per_cell: Vec<Vec<ShardedFleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, sharded) in results {
-            per_cell[cell].push(sharded);
-        }
-        per_cell
-    }
-
-    /// The phased counterpart of [`StudyCtx::run_fleet_cells`]: every
-    /// topology cell executes as a
-    /// [`tpv_core::runtime::run_phased_sharded`] job, so each run carries
-    /// pooled per-phase statistics and the per-shard breakdown next to
-    /// its fleet result — what the time-varying studies
-    /// (`ext_diurnal_fleet`, `ext_turbo_decay`, `ext_phased_shards`)
-    /// render. Multi-shard tiers run on the work-stealing pool with
-    /// canonical-order per-phase merges, so results are bit-identical at
-    /// any worker split.
+    /// Executes `runs` seeded runs of every topology cell through the
+    /// context engine's [`Engine::execute_fleet`] and regroups the
+    /// results per cell — the fleet counterpart of
+    /// `Experiment::run_with`, shared by the topology studies so the
+    /// fingerprint → plan → execute → regroup convention lives in one
+    /// place.
+    ///
+    /// `run(topology, seed, intra_workers)` picks the view a study
+    /// renders: [`tpv_core::runtime::run_topology`] for per-node
+    /// breakdowns, [`tpv_core::runtime::run_topology_sharded`] for the
+    /// per-shard breakdown, [`tpv_core::runtime::run_phased_sharded`] for
+    /// pooled per-phase statistics, [`tpv_core::runtime::run_cohorted`]
+    /// for per-cohort rollups. The engine splits its worker budget
+    /// between job-level and intra-run (shard-level) parallelism and
+    /// passes the intra-run share as `intra_workers`; results are
+    /// bit-identical either way.
     ///
     /// # Panics
     ///
@@ -108,48 +71,21 @@ impl StudyCtx {
     /// topology fails validation — `all_experiments` isolates study
     /// panics, so a misconfigured study reports its typed error without
     /// aborting the rest of the suite.
-    pub fn run_phased_cells(
+    pub fn run_cells<R: Send>(
         &self,
         topos: &[TopologySpec<'_>],
         runs: usize,
         seed: u64,
-    ) -> Vec<Vec<PhasedFleetResult>> {
+        run: impl Fn(&TopologySpec<'_>, u64, usize) -> R + Sync,
+    ) -> Vec<Vec<R>> {
         let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
         let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_phased(&plan, |cell| topos[cell]).unwrap_or_else(|e| panic!("{e}"));
-        let mut per_cell: Vec<Vec<PhasedFleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, phased) in results {
-            per_cell[cell].push(phased);
-        }
-        per_cell
+        let results =
+            self.engine.execute_fleet(&plan, |cell| topos[cell], run).unwrap_or_else(|e| panic!("{e}"));
+        per_cell(topos.len(), runs, results)
     }
 
-    /// The cohorted counterpart of [`StudyCtx::run_fleet_cells`]: every
-    /// topology cell executes as a [`tpv_core::runtime::run_cohorted`]
-    /// job, carrying per-cohort rollups (and any per-shard breakdown)
-    /// next to its fleet result — what the population-scale study
-    /// (`ext_million_fleet`) renders. Worker budgeting follows
-    /// [`tpv_core::engine::Engine::execute_sharded`]: leftover workers
-    /// parallelize the shards inside each run.
-    pub fn run_cohorted_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<CohortedFleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self
-            .engine
-            .execute_jobs(&plan, |job| tpv_core::runtime::run_cohorted(&topos[job.cell], job.seed, 1));
-        let mut per_cell: Vec<Vec<CohortedFleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, cohorted) in results {
-            per_cell[cell].push(cohorted);
-        }
-        per_cell
-    }
-
-    /// The closed-loop counterpart of [`StudyCtx::run_fleet_cells`]:
+    /// The closed-loop counterpart of [`StudyCtx::run_cells`]:
     /// every cell is a `(spec, policy)` pair executed through
     /// [`tpv_core::control::Controller`], seeded per run off the cell's
     /// [`fingerprint_control`] content address — so a policy cell's seeds
@@ -168,12 +104,18 @@ impl StudyCtx {
             let (spec, policy) = cells[job.cell];
             Controller::new(spec, policy).run(job.seed, 1)
         });
-        let mut per_cell: Vec<Vec<ControlResult>> = vec![Vec::with_capacity(runs); cells.len()];
-        for (cell, _, result) in results {
-            per_cell[cell].push(result);
-        }
-        per_cell
+        per_cell(cells.len(), runs, results)
     }
+}
+
+/// Regroups the engine's `(cell, run, result)` triples — already in
+/// `(cell, run)` order — into one `runs`-long vector per cell.
+fn per_cell<R>(cells: usize, runs: usize, results: Vec<(usize, usize, R)>) -> Vec<Vec<R>> {
+    let mut per_cell: Vec<Vec<R>> = (0..cells).map(|_| Vec::with_capacity(runs)).collect();
+    for (cell, _, result) in results {
+        per_cell[cell].push(result);
+    }
+    per_cell
 }
 
 impl Default for StudyCtx {

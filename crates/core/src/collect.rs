@@ -419,7 +419,7 @@ impl Collector for TraceCollector {
 
 /// Forwards every hook to both collectors — composition for runs that
 /// need two independent collections in one pass (e.g. per-node *and*
-/// per-phase, which is what [`crate::runtime::run_phased`] does).
+/// per-phase, which is what [`crate::runtime::run_phased_sharded`] does).
 impl<A: Collector, B: Collector> Collector for (A, B) {
     #[inline]
     fn on_event(&mut self, now: SimTime) {
@@ -689,7 +689,7 @@ impl WindowedObserver {
     /// A per-shard observer for the partition with canonical content key
     /// `shard_key` and declaration index `shard` — pass this as the
     /// collector factory of
-    /// [`crate::runtime::run_sharded_collected_with`].
+    /// [`crate::runtime::run_sharded_collected_hedged`].
     pub fn for_partition(nodes: usize, shard_key: u64, shard: usize) -> Self {
         WindowedObserver {
             node_hists: (0..nodes).map(|_| LatencyHistogram::new()).collect(),

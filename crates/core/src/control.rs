@@ -67,8 +67,7 @@ use tpv_services::ServiceConfig;
 use tpv_sim::{SimDuration, SimRng, SimTime};
 
 use crate::collect::{ShardWindow, WindowedObserver};
-use crate::pin::PinPolicy;
-use crate::runtime::{run_sharded_collected_hedged_with, RunResult};
+use crate::runtime::{run_sharded_collected_hedged, RunResult};
 use crate::topology::{ClientNode, ShardPolicy, ShardSpec, TopologySpec};
 
 /// How one node hedges: when a primary response overruns `deadline`, an
@@ -648,14 +647,10 @@ impl<'a> Controller<'a> {
                 .fork(crate::engine::fnv64_debug(&("control-window", w)))
                 .next_u64();
             let n = eff.len();
-            let (aggregate, _, observer) = run_sharded_collected_hedged_with(
-                &topo,
-                window_seed,
-                workers,
-                PinPolicy::Off,
-                hedge,
-                |shard, key| WindowedObserver::for_partition(n, key, shard),
-            );
+            let (aggregate, _, observer) =
+                run_sharded_collected_hedged(&topo, window_seed, workers, hedge, |shard, key| {
+                    WindowedObserver::for_partition(n, key, shard)
+                });
             let measured = spec.window - topo.warmup;
             let (node_windows, shard_windows) = observer.into_windows(measured);
             let mut nodes_obs: Vec<NodeObservation> = node_windows

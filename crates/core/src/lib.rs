@@ -23,10 +23,7 @@
 //! remediation, admission control) that act on the fleet between
 //! windows.
 
-// `deny` rather than `forbid`: the worker-pinning shim in [`pin`] scopes
-// a single documented `sched_setaffinity` declaration behind a local
-// `#[allow(unsafe_code)]`; everything else in the crate stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -35,7 +32,6 @@ pub mod control;
 pub mod engine;
 pub mod experiment;
 pub mod fidelity;
-pub mod pin;
 pub mod recommend;
 pub mod report;
 pub mod runtime;
@@ -54,10 +50,9 @@ pub use control::{
 };
 pub use engine::{CacheStats, Engine, Job, JobPlan, RunCache};
 pub use experiment::{Benchmark, Experiment, ExperimentResults, ServerScenario};
-pub use pin::PinPolicy;
 pub use runtime::{
-    run_cohorted, run_once, run_phased, run_phased_sharded, run_phased_sharded_with, run_topology,
-    run_traced, PhasedFleetResult, RunResult, RunSpec, RunTrace,
+    run_cohorted, run_once, run_phased_sharded, run_topology, run_traced, PhasedFleetResult, RunResult,
+    RunSpec, RunTrace,
 };
 pub use topology::{
     uniform_fleet, ClientNode, CohortResult, CohortSpec, CohortedFleetResult, FleetResult, NodeDynamics,

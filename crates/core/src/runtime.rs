@@ -26,8 +26,8 @@
 //! * runs can be **time-varying**: a node's
 //!   [`NodeDynamics`] schedules deterministic phase boundaries at which
 //!   its machine configuration, offered rate and/or link switch, and
-//!   [`run_phased`] reports the per-phase latency regimes next to the
-//!   whole-run fleet result;
+//!   [`run_phased_sharded`] reports the per-phase latency regimes next
+//!   to the whole-run fleet result;
 //! * the server tier can be **sharded**
 //!   ([`crate::topology::ShardSpec`]): each shard is its own backend
 //!   machine and service instance, shards share no mutable state, and
@@ -527,43 +527,24 @@ impl PhasedFleetResult {
     }
 }
 
-/// Like [`run_topology`], additionally bucketing pooled latencies by the
-/// phase their request was stamped in (over the topology's
-/// [`TopologySpec::merged_schedule`]). This is the entry point for
-/// time-varying studies: a phase boundary that switches machine state or
-/// load is visible as a regime change between consecutive
-/// [`PhaseStats`].
+/// Like [`run_topology_sharded`], additionally bucketing pooled
+/// latencies by the phase their request was stamped in (over the
+/// topology's [`TopologySpec::merged_schedule`]). This is the entry
+/// point for time-varying studies: a phase boundary that switches
+/// machine state or load is visible as a regime change between
+/// consecutive [`PhaseStats`].
 ///
-/// Multi-shard (and cohorted) topologies are supported: the run executes
-/// through the same partitioned kernel as [`run_topology_sharded`], and
-/// per-phase histogram state merges across shards in canonical
-/// `(shard_key, shard_index)` order — see [`PhaseCollector`] — so the
-/// per-phase stats share the aggregate's shard-enumeration-invariance
-/// contract. This serial entry point equals
-/// [`run_phased_sharded`] at any worker count bit for bit.
+/// Multi-shard (and cohorted) topologies ride the same work-stealing
+/// shard pool on up to `workers` threads (`1` is the fully serial
+/// execution), and per-phase histogram state merges across shards in
+/// canonical `(shard_key, shard_index)` order — see [`PhaseCollector`]
+/// — so the per-phase stats share the aggregate's determinism contract:
+/// bit-identical whatever `workers`, the steal schedule or the shard
+/// enumeration order.
 ///
 /// The whole-run `fleet` half is produced by the same kernel pass, so it
 /// matches [`run_topology`]'s (and [`run_topology_sharded`]'s) output
 /// bit for bit.
-///
-/// # Errors
-///
-/// Returns the [`TopologyError`] from [`TopologySpec::validate`] on a
-/// structurally invalid spec.
-///
-/// # Panics
-///
-/// Panics on malformed hand-assembled plans, as
-/// [`TopologySpec::validate`] documents.
-pub fn run_phased(topo: &TopologySpec<'_>, seed: u64) -> Result<PhasedFleetResult, TopologyError> {
-    run_phased_sharded(topo, seed, 1)
-}
-
-/// [`run_phased`] on up to `workers` threads: phased multi-shard
-/// topologies ride the same work-stealing shard pool as
-/// [`run_topology_sharded`]. Same determinism contract — results are
-/// bit-identical whatever `workers`, the steal schedule or the shard
-/// enumeration order.
 ///
 /// # Errors
 ///
@@ -579,35 +560,13 @@ pub fn run_phased_sharded(
     seed: u64,
     workers: usize,
 ) -> Result<PhasedFleetResult, TopologyError> {
-    run_phased_sharded_with(topo, seed, workers, crate::pin::PinPolicy::Off)
-}
-
-/// [`run_phased_sharded`] with an explicit worker
-/// [`PinPolicy`](crate::pin::PinPolicy) — pinning remains a throughput
-/// knob, never a results knob.
-///
-/// # Errors
-///
-/// Returns the [`TopologyError`] from [`TopologySpec::validate`] on a
-/// structurally invalid spec.
-///
-/// # Panics
-///
-/// Panics on malformed hand-assembled plans, as
-/// [`TopologySpec::validate`] documents.
-pub fn run_phased_sharded_with(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    pin: crate::pin::PinPolicy,
-) -> Result<PhasedFleetResult, TopologyError> {
     topo.validate()?;
     let layout = topo.layout();
     let n = layout.len();
     let schedule = topo.merged_schedule();
     let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
     let (aggregate, shards, (per_node, per_phase)) =
-        run_sharded_collected_with(topo, seed, workers, pin, |shard, shard_key| {
+        run_sharded_collected(topo, seed, workers, |shard, shard_key| {
             (
                 PerNodeCollector::new(n),
                 PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
@@ -816,11 +775,12 @@ fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResu
     )
 }
 
-/// The topology kernel: executes one run, feeding observations to
-/// `collector`. This is the single hot loop behind [`run_once`],
-/// [`run_traced`], [`run_topology`] and (per shard) the parallel
-/// [`run_topology_sharded`]. Sharded topologies execute their partitions
-/// serially here, feeding the one collector in shard declaration order.
+/// The serial topology kernel: executes one run, feeding observations to
+/// `collector`. This is the loop behind [`run_once`], [`run_traced`] and
+/// [`run_topology`]; the sharded entry points run the same per-partition
+/// kernel through [`run_sharded_collected`] instead. Sharded topologies
+/// execute their partitions serially here, feeding the one collector in
+/// shard declaration order.
 ///
 /// # Panics
 ///
@@ -1160,27 +1120,10 @@ fn run_partition<C: Collector>(
 ///
 /// Panics on the same invalid specs as [`run_collected`].
 pub fn run_topology_sharded(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> ShardedFleetResult {
-    run_topology_sharded_with(topo, seed, workers, crate::pin::PinPolicy::Off)
-}
-
-/// [`run_topology_sharded`] with an explicit worker
-/// [`PinPolicy`](crate::pin::PinPolicy) — same determinism contract:
-/// the result is bit-identical whatever the policy, the worker count or
-/// the OS schedule.
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_topology_sharded_with(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    pin: crate::pin::PinPolicy,
-) -> ShardedFleetResult {
     let layout = topo.layout();
     let n = layout.len();
     let (aggregate, shards, collector) =
-        run_sharded_collected_with(topo, seed, workers, pin, |_, _| PerNodeCollector::new(n));
+        run_sharded_collected(topo, seed, workers, |_, _| PerNodeCollector::new(n));
     ShardedFleetResult { fleet: FleetResult { aggregate, nodes: node_results(&layout, collector) }, shards }
 }
 
@@ -1255,34 +1198,10 @@ where
     C: MergeCollector + Send,
     F: Fn(usize, u64) -> C + Sync,
 {
-    run_sharded_collected_with(topo, seed, workers, crate::pin::PinPolicy::Off, make)
+    run_sharded_collected_hedged(topo, seed, workers, None, make)
 }
 
-/// [`run_sharded_collected`] with an explicit worker [`PinPolicy`].
-///
-/// Identical results whatever the policy — pinning only decides *where*
-/// worker threads run, never *what* they compute (see [`crate::pin`]).
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-///
-/// [`PinPolicy`]: crate::pin::PinPolicy
-pub fn run_sharded_collected_with<C, F>(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    pin: crate::pin::PinPolicy,
-    make: F,
-) -> (RunResult, Vec<ShardResult>, C)
-where
-    C: MergeCollector + Send,
-    F: Fn(usize, u64) -> C + Sync,
-{
-    run_sharded_collected_hedged_with(topo, seed, workers, pin, None, make)
-}
-
-/// [`run_sharded_collected_with`] plus an optional
+/// [`run_sharded_collected`] plus an optional
 /// [`HedgePlan`](crate::control::HedgePlan): nodes the plan covers
 /// duplicate overdue requests to an analytic replica and the first
 /// response wins (see [`crate::control::HedgeSpec`] for the model and
@@ -1292,18 +1211,17 @@ where
 /// Hedging preserves every determinism contract: the hedge leg draws
 /// from fork 7 of the hedged node's own content-addressed master, fires
 /// only for measured requests, and dispatches no events — results stay
-/// bit-identical whatever `workers`, the pin policy, the OS schedule or
-/// the fleet declaration order. The legacy single-node stream layout
+/// bit-identical whatever `workers`, the OS schedule or the fleet
+/// declaration order. The legacy single-node stream layout
 /// (one node, unsharded) predates per-node masters and never hedges.
 ///
 /// # Panics
 ///
 /// Panics on the same invalid specs as [`run_collected`].
-pub fn run_sharded_collected_hedged_with<C, F>(
+pub fn run_sharded_collected_hedged<C, F>(
     topo: &TopologySpec<'_>,
     seed: u64,
     workers: usize,
-    pin: crate::pin::PinPolicy,
     hedge: Option<&crate::control::HedgePlan>,
     make: F,
 ) -> (RunResult, Vec<ShardResult>, C)
@@ -1366,7 +1284,6 @@ where
                 let master = &master;
                 let make = &make;
                 scope.spawn(move || {
-                    pin.apply(w);
                     loop {
                         // Own deque first (front — the LPT order), then
                         // round-robin over victims (back — the cheap

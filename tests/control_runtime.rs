@@ -23,8 +23,7 @@ use tpv_core::control::{
     AdmissionThrottle, ControlResult, ControlSpec, Controller, DoNothing, HedgePlan, HedgeRequests,
     HedgeSpec, MitigationPolicy, RemediateNode, RerouteHotShard,
 };
-use tpv_core::pin::PinPolicy;
-use tpv_core::runtime::run_sharded_collected_hedged_with;
+use tpv_core::runtime::run_sharded_collected_hedged;
 use tpv_core::topology::{ClientNode, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_core::WindowedObserver;
 use tpv_hw::MachineConfig;
@@ -147,7 +146,7 @@ fn hedging_changes_no_event_counts_and_only_hedged_nodes() {
     }
     let n = nodes.len();
     let run = |hedge: Option<&HedgePlan>| {
-        run_sharded_collected_hedged_with(&topo, 2024, 3, PinPolicy::Off, hedge, |shard, key| {
+        run_sharded_collected_hedged(&topo, 2024, 3, hedge, |shard, key| {
             (EventCountCollector::new(), WindowedObserver::for_partition(n, key, shard))
         })
     };

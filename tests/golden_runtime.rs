@@ -17,7 +17,7 @@ use tpv_core::control::{
     RerouteHotShard,
 };
 use tpv_core::runtime::{
-    run_cohorted, run_once, run_phased, run_phased_sharded, run_topology_sharded, RunResult, RunSpec,
+    run_cohorted, run_once, run_phased_sharded, run_topology_sharded, RunResult, RunSpec,
 };
 use tpv_core::topology::{ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, MachineConfig};
@@ -288,7 +288,7 @@ fn observe_phased(parts: &Parts, dynamics: &NodeDynamics, seed: u64) -> ([u64; 1
         warmup: spec.warmup,
         cohorts: &[],
     };
-    let phased = run_phased(&topo, seed).expect("valid phased golden topology");
+    let phased = run_phased_sharded(&topo, seed, 1).expect("valid phased golden topology");
     let row = golden_row(&phased.fleet.aggregate);
     let phases = phased.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
     (row, phases)

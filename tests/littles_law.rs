@@ -4,7 +4,7 @@
 //! at three levels: the 1×1 testbed, pooled multi-node fleets, and the
 //! per-phase regimes of a stepped-load dynamic run.
 
-use tpv::core::runtime::{run_phased, run_topology};
+use tpv::core::runtime::{run_phased_sharded, run_topology};
 use tpv::core::topology::{uniform_fleet, ClientNode, NodeDynamics, TopologySpec};
 use tpv::loadgen::GeneratorSpec;
 use tpv::net::LinkConfig;
@@ -138,7 +138,7 @@ fn stepped_load_phases_obey_littles_law_per_phase() {
         warmup: SimDuration::from_ms(8),
         cohorts: &[],
     };
-    let phased = run_phased(&topo, 29).expect("valid phased topology");
+    let phased = run_phased_sharded(&topo, 29, 1).expect("valid phased topology");
     let low = phased.phase(0).unwrap();
     let high = phased.phase(1).unwrap();
     // Each phase achieves its own offered rate...

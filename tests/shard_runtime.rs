@@ -6,16 +6,17 @@
 //! values bit-for-bit (`GOLDEN_SHARDED`) and checks the degenerate K=1
 //! tier against every static golden row.
 
+use std::sync::Mutex;
 use tpv_core::collect::{EventCountCollector, PhaseCollector};
 use tpv_core::engine::{fingerprint_topology, Engine, JobPlan};
+
 use tpv_core::runtime::{
-    run_collected, run_phased, run_phased_sharded, run_phased_sharded_with, run_sharded_collected,
-    run_topology, run_topology_sharded, run_topology_sharded_with,
+    run_cohorted, run_collected, run_phased_sharded, run_sharded_collected, run_topology,
+    run_topology_sharded,
 };
 use tpv_core::topology::{
-    ClientNode, NodeDynamics, ShardPolicy, ShardSpec, ShardedFleetResult, TopologySpec,
+    ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, ShardedFleetResult, TopologySpec,
 };
-use tpv_core::PinPolicy;
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
@@ -216,9 +217,8 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
     // A HotShard tier is the worst case for the worker pool: one shard
     // carries half the fleet, so LPT seeding leaves most workers
     // underloaded and the steal path actually fires. Whatever the
-    // worker count, the stolen schedule — and a core-pinned one — must
-    // reproduce the serial execution bit for bit: scheduling is
-    // presentation, not physics.
+    // worker count, the stolen schedule must reproduce the serial
+    // execution bit for bit: scheduling is presentation, not physics.
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let gen = GeneratorSpec::mutilate().with_connections(20);
@@ -235,12 +235,10 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
         .collect();
     let hot = ShardSpec::uniform(server, 4).with_policy(ShardPolicy::HotShard { hot: 1, share: 0.5 });
     let spec = topo(&service, &server, &nodes, Some(&hot));
-    let serial = run_topology_sharded_with(&spec, 29, 1, PinPolicy::Off);
+    let serial = run_topology_sharded(&spec, 29, 1);
     for workers in [2, 3, 4, 8] {
-        let stolen = run_topology_sharded_with(&spec, 29, workers, PinPolicy::Off);
+        let stolen = run_topology_sharded(&spec, 29, workers);
         assert_eq!(serial, stolen, "{workers}-worker stolen schedule drifted from serial");
-        let pinned = run_topology_sharded_with(&spec, 29, workers, PinPolicy::RoundRobin);
-        assert_eq!(serial, pinned, "{workers}-worker pinned schedule drifted from serial");
     }
 }
 
@@ -260,6 +258,37 @@ fn merged_event_counts_match_the_serial_collector() {
     assert_eq!(shard_results.len(), 4);
 }
 
+/// Runs `run` through `Engine::execute_fleet` on a 1-job plan (the
+/// 8-way engine hands the job all 8 workers for its shards) and on an
+/// 8-job plan (the job pool takes all 8, each run's shards go serial),
+/// asserting both splits reproduce `Engine::serial()` bit for bit.
+fn assert_fleet_runner_is_parallelism_invariant<R>(
+    what: &str,
+    spec: TopologySpec<'_>,
+    run: impl Fn(&TopologySpec<'_>, u64, usize) -> R + Sync,
+) where
+    R: PartialEq + std::fmt::Debug + Send,
+{
+    let fp = [fingerprint_topology(&spec)];
+    for (plan, intra) in [(JobPlan::new(17, &fp, 1), 8), (JobPlan::new(17, &fp, 8).shuffled(99), 1)] {
+        let jobs = plan.jobs().len();
+        let serial = Engine::serial().execute_fleet(&plan, |_| spec, &run).expect("valid topology");
+        let budgets = Mutex::new(Vec::new());
+        let parallel = Engine::with_workers(8)
+            .execute_fleet(
+                &plan,
+                |_| spec,
+                |t, seed, workers| {
+                    budgets.lock().unwrap().push(workers);
+                    run(t, seed, workers)
+                },
+            )
+            .expect("valid topology");
+        assert_eq!(serial, parallel, "{what}: {jobs}-job plan drifted from the serial engine");
+        assert_eq!(budgets.into_inner().unwrap(), vec![intra; jobs], "{what}: {jobs}-job worker split");
+    }
+}
+
 #[test]
 fn engine_execute_sharded_is_parallelism_invariant() {
     let service = kv_service();
@@ -268,18 +297,47 @@ fn engine_execute_sharded_is_parallelism_invariant() {
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
     let plan = JobPlan::new(17, &[fingerprint_topology(&spec)], 3).shuffled(99);
-    let serial = Engine::serial().execute_sharded(&plan, |_| spec);
-    let parallel = Engine::with_workers(8).execute_sharded(&plan, |_| spec);
+    let sharded =
+        |engine: Engine| engine.execute_fleet(&plan, |_| spec, run_topology_sharded).expect("valid topology");
+    let serial = sharded(Engine::serial());
+    let parallel = sharded(Engine::with_workers(8));
     assert_eq!(serial, parallel, "engine scheduling must not change sharded results");
-    let pinned =
-        Engine::with_workers(8).with_pin_policy(PinPolicy::RoundRobin).execute_sharded(&plan, |_| spec);
-    assert_eq!(serial, pinned, "core pinning must not change sharded results");
     assert_eq!(serial.len(), 3);
     let direct: Vec<(usize, usize, ShardedFleetResult)> =
         plan.jobs().iter().map(|j| (j.cell, j.run, run_topology_sharded(&spec, j.seed, 1))).collect();
     let mut direct_sorted = direct;
     direct_sorted.sort_by_key(|&(c, r, _)| (c, r));
     assert_eq!(serial, direct_sorted, "engine jobs must equal direct sharded runs");
+
+    // Every fleet runner rides the same budget split.
+    let phased_nodes = phased_fleet();
+    let phased = topo(&service, &server, &phased_nodes, Some(&shards));
+    let gen = GeneratorSpec::mutilate().with_connections(4);
+    let cohorts = [
+        CohortSpec::new(
+            ClientNode::new("lp-pool", MachineConfig::low_power(), gen, LinkConfig::cloudlab_lan(), 1_500.0),
+            16,
+        )
+        .with_tracked(2),
+        CohortSpec::new(
+            ClientNode::new(
+                "hp-pool",
+                MachineConfig::high_performance(),
+                gen,
+                LinkConfig::cross_rack(),
+                2_500.0,
+            ),
+            12,
+        )
+        .with_tracked(1),
+    ];
+    let cohorted = TopologySpec { nodes: &[], cohorts: &cohorts, ..spec };
+    assert_fleet_runner_is_parallelism_invariant("fleet", spec, |t, seed, _| run_topology(t, seed));
+    assert_fleet_runner_is_parallelism_invariant("sharded", spec, run_topology_sharded);
+    assert_fleet_runner_is_parallelism_invariant("phased", phased, |t, seed, workers| {
+        run_phased_sharded(t, seed, workers).expect("valid phased topology")
+    });
+    assert_fleet_runner_is_parallelism_invariant("cohorted", cohorted, run_cohorted);
 }
 
 // ---------------------------------------------------------------------
@@ -322,9 +380,6 @@ fn phased_serial_and_parallel_shard_execution_are_bit_identical() {
     for workers in [2, 3, 4, 8] {
         let parallel = run_phased_sharded(&spec, 19, workers).expect("valid phased topology");
         assert_eq!(serial, parallel, "{workers}-worker phased schedule drifted from serial");
-        let pinned = run_phased_sharded_with(&spec, 19, workers, PinPolicy::RoundRobin)
-            .expect("valid phased topology");
-        assert_eq!(serial, pinned, "{workers}-worker pinned phased schedule drifted from serial");
     }
     // The phased view is the sharded kernel plus a phase lens: the fleet
     // and per-shard breakdowns must match the static sharded entry point
@@ -406,7 +461,8 @@ fn phased_one_shard_tier_is_the_unsharded_phased_kernel() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let nodes = phased_fleet();
-    let unsharded = run_phased(&topo(&service, &server, &nodes, None), 5).expect("valid phased topology");
+    let unsharded =
+        run_phased_sharded(&topo(&service, &server, &nodes, None), 5, 1).expect("valid phased topology");
     let one = ShardSpec::uniform(server, 1);
     let sharded = run_phased_sharded(&topo(&service, &server, &nodes, Some(&one)), 5, 4)
         .expect("valid phased topology");
