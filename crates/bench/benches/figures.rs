@@ -1,6 +1,6 @@
 //! Criterion wrappers that time a *reduced* regeneration of each paper
 //! artefact (a couple of runs per cell, short simulated windows). The
-//! full-fidelity regeneration lives in the `tpv-bench` binaries
+//! full-fidelity regeneration lives in the `tpv-bench` study driver
 //! (`cargo run --release -p tpv-bench --bin all_experiments`); these
 //! benches make the cost of each artefact visible in `cargo bench` output
 //! and catch performance regressions in the end-to-end pipeline.

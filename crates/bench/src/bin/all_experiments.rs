@@ -1,18 +1,20 @@
 //! Runs the complete regeneration suite — every table and figure — as an
 //! **in-process** driver over the study registry. One engine (and one run
 //! cache) is shared across all artefacts, so baseline cells that recur in
-//! several figures execute once. Respects the same `TPV_RUNS` /
-//! `TPV_RUN_SECS` / `TPV_SEED` environment variables as the individual
-//! binaries.
+//! several figures execute once. Respects the `TPV_RUNS` /
+//! `TPV_RUN_SECS` / `TPV_SEED` environment variables.
 //!
-//! Usage: `all_experiments [--all] [--list]`
+//! Usage: `all_experiments [--all] [--list] [--only NAME]`
 //!
 //! * `--all` additionally runs the extension experiments after the paper
 //!   artefacts.
 //! * `--list` prints the study registry (name, kind, title) without
 //!   running anything.
+//! * `--only NAME` runs the one study registered under `NAME` (any kind,
+//!   diagnostics included) on a fresh context; a panic or an unknown
+//!   name exits nonzero.
 
-use tpv_bench::study::{registry, StudyCtx, StudyKind};
+use tpv_bench::study::{find, registry, StudyCtx, StudyKind};
 use tpv_core::engine::CacheStats;
 
 fn kind_name(kind: StudyKind) -> &'static str {
@@ -38,6 +40,15 @@ fn main() {
         list_registry();
         return;
     }
+    if let Some(at) = args.iter().position(|a| a == "--only") {
+        let name = args.get(at + 1).map_or("", String::as_str);
+        let Some(study) = find(name) else {
+            eprintln!("[all] unknown study '{name}' (see --list)");
+            std::process::exit(2);
+        };
+        (study.run)(&StudyCtx::new());
+        return;
+    }
     let include_extensions = args.iter().any(|a| a == "--all");
     let ctx = StudyCtx::new();
     let mut ran = 0usize;
@@ -55,8 +66,7 @@ fn main() {
         println!("\n================================================================");
         println!("running {} — {}", study.name, study.title);
         println!("================================================================\n");
-        // One panicking study must not abort the rest of the suite
-        // (matching the isolation of the old per-binary driver).
+        // One panicking study must not abort the rest of the suite.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (study.run)(&ctx)));
         match outcome {
             Ok(()) => ran += 1,

@@ -1,5 +1,5 @@
 //! Artefact regeneration: the [`study`] registry plus shared plumbing
-//! for the thin per-artefact binaries.
+//! for its studies.
 //!
 //! Every study accepts three environment variables so the suite can be
 //! run at paper scale when wall-clock budget allows (see EXPERIMENTS.md
@@ -60,7 +60,7 @@ pub fn write_csv(name: &str, csv: &Csv) {
     }
 }
 
-/// Standard header every binary prints.
+/// Standard header every study prints.
 pub fn banner(what: &str, runs: usize, duration: SimDuration) {
     println!("== {what} ==");
     println!(

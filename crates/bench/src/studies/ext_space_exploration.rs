@@ -4,7 +4,7 @@
 //! be made to evaluate a technique under several scenarios, using either
 //! homogeneous or heterogeneous client and server machine configurations."
 //!
-//! This binary runs the SMT question under a grid of client
+//! This study runs the SMT question under a grid of client
 //! configurations (LP, HP, and single-knob hybrids) and reports the
 //! speedup each client would publish — the spread *is* the configuration
 //! risk the paper warns about.

@@ -1,13 +1,12 @@
 //! The declarative study registry: every paper artefact and extension
 //! experiment as a named, in-process runnable.
 //!
-//! A [`Study`] bundles an identifier (matching the historical binary
-//! name), a human title and a renderer function. The per-artefact
-//! binaries are thin wrappers over [`run_by_name`], and the
-//! `all_experiments` driver iterates [`registry`] **in one process**, so
-//! every study routes through a single [`Engine`] whose [`RunCache`]
-//! deduplicates the baseline cells shared across figures (seeds are
-//! content-addressed — see `tpv_core::engine`).
+//! A [`Study`] bundles an identifier, a human title and a renderer
+//! function. The `all_experiments` driver runs one study by name
+//! (`--only NAME`, via [`find`]) or iterates [`registry`] **in one
+//! process**, so every study routes through a single [`Engine`] whose
+//! [`RunCache`] deduplicates the baseline cells shared across figures
+//! (seeds are content-addressed — see `tpv_core::engine`).
 
 use std::sync::Arc;
 
@@ -126,7 +125,7 @@ impl Default for StudyCtx {
 
 /// One registered artefact: name + kind + renderer.
 pub struct Study {
-    /// Stable identifier; matches the wrapper binary's name.
+    /// Stable identifier; what `all_experiments --only` takes.
     pub name: &'static str,
     /// One-line description printed by drivers.
     pub title: &'static str,
@@ -291,18 +290,6 @@ pub fn registry() -> Vec<Study> {
 /// The study registered under `name`.
 pub fn find(name: &str) -> Option<Study> {
     registry().into_iter().find(|s| s.name == name)
-}
-
-/// Runs one study on a fresh cached context — the entry point of the
-/// thin per-artefact binaries.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry.
-pub fn run_by_name(name: &str) {
-    let study = find(name).unwrap_or_else(|| panic!("unknown study '{name}'"));
-    let ctx = StudyCtx::new();
-    (study.run)(&ctx);
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Report rendering: markdown tables, CSV series and the Fig. 9-style
-//! frequency chart, shared by every figure/table binary in `tpv-bench`.
+//! frequency chart, shared by every figure/table study in `tpv-bench`.
 
 use std::fmt::Write as _;
 

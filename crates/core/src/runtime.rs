@@ -42,11 +42,11 @@
 //!   execute as a few dozen kernel nodes ([`run_cohorted`] reports the
 //!   per-cohort rollups next to the fleet view).
 //!
-//! The single-node topology reproduces the historical monolithic loop's
-//! RNG stream layout exactly, so `run_once` is **bit-identical** to the
-//! pre-topology runtime, a degenerate single-phase schedule is
-//! bit-identical to the static kernel, and a one-shard tier is
-//! bit-identical to the unsharded kernel (all pinned by
+//! Every topology, the 1×1 included, forks each node's streams from the
+//! global master under the node's content key, so a node draws the same
+//! randomness alone as inside any fleet. A degenerate single-phase
+//! schedule is bit-identical to the static kernel, and a one-shard tier
+//! is bit-identical to the unsharded kernel (all pinned by
 //! `tests/golden_runtime.rs`).
 //!
 //! # Example
@@ -295,10 +295,7 @@ struct NodeState<'a> {
     gap_buf: GapBuffer,
     client_rng: SimRng,
     net_rng: SimRng,
-    /// `None` in the single-node legacy stream layout: descriptors then
-    /// draw from the shared service stream, exactly as the monolithic
-    /// loop did.
-    desc_rng: Option<SimRng>,
+    desc_rng: SimRng,
     /// Stream for per-phase environment redraws. Forked for every node
     /// but never consumed on static nodes, so the phase layer costs the
     /// static path no randomness.
@@ -309,7 +306,7 @@ struct NodeState<'a> {
     /// a rate plan): a boundary switch is a copy, not a rebuild, so the
     /// steady-state loop and its phase transitions allocate nothing.
     phase_arrivals: Vec<ArrivalProcess>,
-    /// Content identity for admission keying (0 = single-node layout).
+    /// Content identity for admission keying.
     node_key: u64,
     pom: PointOfMeasurement,
     loop_mode: LoopMode,
@@ -322,28 +319,21 @@ struct NodeState<'a> {
     /// In-window requests sent but not yet delivered.
     inflight_measured: u64,
     /// The node's hedge leg, when a [`crate::control::HedgePlan`] covers
-    /// it (fleet layout only; the legacy single-node layout never
-    /// hedges).
+    /// it.
     hedge: Option<HedgeState>,
 }
 
 impl<'a> NodeState<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        node: &'a ClientNode,
-        node_key: u64,
-        client_env: &tpv_hw::RunEnvironment,
-        arrival_rng: SimRng,
-        client_rng: SimRng,
-        mut net_rng: SimRng,
-        desc_rng: Option<SimRng>,
-        phase_rng: SimRng,
-        window: (SimTime, SimTime),
-    ) -> Self {
+    /// The node's live state, every stream a numbered fork of
+    /// `node_master` (the fork table in ARCHITECTURE.md); the initial
+    /// environment is the per-run hardware reset (§III iid).
+    fn new(node: &'a ClientNode, node_key: u64, node_master: &SimRng, window: (SimTime, SimTime)) -> Self {
+        let client_env = node.initial_machine().draw_environment(&mut node_master.fork(5));
+        let mut net_rng = node_master.fork(4);
         let dynamics = node.dynamics.as_ref();
         let n_conns = node.generator.connections.max(1) as usize;
         // Phase 0 resolves every time-varying aspect; static nodes take
-        // the exact legacy expressions (no float perturbation). Rate
+        // the exact static expressions (no float perturbation). Rate
         // plans pre-generate one arrival process per phase up front, so
         // a boundary switch in the hot loop is a plain copy.
         let (per_conn_gap, phase_arrivals) = match dynamics.and_then(|d| d.rate.as_ref()) {
@@ -366,16 +356,16 @@ impl<'a> NodeState<'a> {
             None => node.qps,
         };
         NodeState {
-            client: ClientSide::new(node.generator, node.initial_machine(), client_env),
+            client: ClientSide::new(node.generator, node.initial_machine(), &client_env),
             link,
             conns: (0..n_conns).map(Connection::new).collect(),
             arrivals: ArrivalProcess::new(node.generator.arrival, per_conn_gap),
-            arrival_rng,
+            arrival_rng: node_master.fork(1),
             gap_buf: GapBuffer::new(),
-            client_rng,
+            client_rng: node_master.fork(2),
             net_rng,
-            desc_rng,
-            phase_rng,
+            desc_rng: node_master.fork(3),
+            phase_rng: node_master.fork(6),
             dynamics,
             phase_arrivals,
             node_key,
@@ -609,8 +599,6 @@ struct PartitionPlan<'a> {
     /// Service and server-environment streams fork from here (the global
     /// master for the single tier, a content-keyed fork per shard).
     master: SimRng,
-    /// Replay the historical single-node stream layout (unsharded 1×1).
-    legacy_single: bool,
 }
 
 /// Splits a topology into its independent per-shard sub-simulations,
@@ -631,32 +619,16 @@ fn build_partitions<'a>(
     nodes: &'a [ClientNode],
     master: &SimRng,
 ) -> Vec<PartitionPlan<'a>> {
+    let node_keys = node_stream_keys(nodes);
     if topo.shard_count() == 1 {
         // Degenerate tier: the unsharded kernel, with the single shard's
         // machine as the server when a spec is present.
         let server = topo.shards.map_or(topo.server, |s| &s.machines[0]);
-        let legacy_single = nodes.len() == 1;
-        let members: Vec<(usize, &'a ClientNode, u64)> = if legacy_single {
-            vec![(0, &nodes[0], 0)]
-        } else {
-            nodes
-                .iter()
-                .enumerate()
-                .zip(node_stream_keys(nodes))
-                .map(|((i, node), key)| (i, node, key))
-                .collect()
-        };
-        return vec![PartitionPlan {
-            shard: 0,
-            key: 0,
-            server,
-            members,
-            master: master.clone(),
-            legacy_single,
-        }];
+        let members =
+            nodes.iter().enumerate().zip(node_keys).map(|((i, node), key)| (i, node, key)).collect();
+        return vec![PartitionPlan { shard: 0, key: 0, server, members, master: master.clone() }];
     }
     let shards = topo.shards.expect("multi-shard topology");
-    let node_keys = node_stream_keys(nodes);
     let shard_keys = crate::topology::shard_stream_keys(&shards.machines);
     let assignment = shards.assign(nodes.len());
     let mut plans: Vec<PartitionPlan<'a>> = shards
@@ -670,7 +642,6 @@ fn build_partitions<'a>(
             server,
             members: Vec::new(),
             master: master.fork(key),
-            legacy_single: false,
         })
         .collect();
     for ((i, node), (&shard, &key)) in nodes.iter().enumerate().zip(assignment.iter().zip(&node_keys)) {
@@ -812,66 +783,30 @@ fn run_partition<C: Collector>(
         // never consumed, so adding shards cannot perturb loaded ones.
         return PartitionOutcome::empty(part.key);
     }
-    let master = &part.master;
-    let mut service_rng = master.fork(3);
-    let mut env_rng = master.fork(5);
+    let mut service_rng = part.master.fork(3);
 
     // Reset the environment: fresh per-run hardware state (§III iid).
     //
-    // The single-node layout replays the historical stream order exactly
-    // (client env then server env off one stream, descriptors off the
-    // service stream), keeping `run_once` bit-identical to the
-    // pre-topology runtime. Fleets give every node its own streams forked
-    // under its content key — from the *global* master, so a node's
-    // randomness survives resharding unchanged.
+    // Every node gets its own streams forked under its content key — from
+    // the *global* master, so a node's randomness is the same alone, in
+    // any fleet and under any sharding.
     let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
+    let server_env = part.server.draw_environment(&mut part.master.fork(5));
     let mut states: Vec<NodeState<'_>> = Vec::with_capacity(part.members.len());
-    let server_env;
-    if part.legacy_single {
-        let node = part.members[0].1;
-        let client_env = node.initial_machine().draw_environment(&mut env_rng);
-        server_env = part.server.draw_environment(&mut env_rng);
-        states.push(NodeState::new(
-            node,
-            0,
-            &client_env,
-            master.fork(1),
-            master.fork(2),
-            master.fork(4),
-            None,
-            master.fork(6),
-            window,
-        ));
-    } else {
-        server_env = part.server.draw_environment(&mut env_rng);
-        for &(_, node, key) in &part.members {
-            let node_master = global_master.fork(key);
-            let mut node_env_rng = node_master.fork(5);
-            let client_env = node.initial_machine().draw_environment(&mut node_env_rng);
-            let mut st = NodeState::new(
-                node,
-                key,
-                &client_env,
-                node_master.fork(1),
-                node_master.fork(2),
-                node_master.fork(4),
-                Some(node_master.fork(3)),
-                node_master.fork(6),
-                window,
-            );
-            // The hedge leg lives on fork 7 of the node master — never
-            // consumed by any other path, so a non-hedged run is
-            // byte-identical whether or not hedging exists in the build.
-            st.hedge = hedge_plan.and_then(|plan| plan.get(&node.label)).map(|spec| {
-                let mut rng = node_master.fork(7);
-                let env = spec.backend.draw_environment(&mut rng);
-                let service =
-                    ServiceInstance::new(topo.service, &spec.backend, &env, topo.duration, &mut rng);
-                let link = Link::new(&node.link, &mut rng);
-                HedgeState { deadline: spec.deadline, service, link, rng }
-            });
-            states.push(st);
-        }
+    for &(_, node, key) in &part.members {
+        let node_master = global_master.fork(key);
+        let mut st = NodeState::new(node, key, &node_master, window);
+        // The hedge leg lives on fork 7 of the node master — never
+        // consumed by any other path, so a non-hedged run is
+        // byte-identical whether or not hedging exists in the build.
+        st.hedge = hedge_plan.and_then(|plan| plan.get(&node.label)).map(|spec| {
+            let mut rng = node_master.fork(7);
+            let env = spec.backend.draw_environment(&mut rng);
+            let service = ServiceInstance::new(topo.service, &spec.backend, &env, topo.duration, &mut rng);
+            let link = Link::new(&node.link, &mut rng);
+            HedgeState { deadline: spec.deadline, service, link, rng }
+        });
+        states.push(st);
     }
     let mut service =
         ServiceInstance::new(topo.service, part.server, &server_env, topo.duration, &mut service_rng);
@@ -927,13 +862,6 @@ fn run_partition<C: Collector>(
     // handler schedules at the batch's own timestamp land in a later
     // batch, exactly where FIFO tie order already places them — the
     // dispatch sequence is the one-at-a-time pop sequence unchanged.
-    // Dispatch in tie-run batches: `pop_batch` drains every event sharing
-    // the earliest timestamp in one call, amortizing the queue's per-pop
-    // bookkeeping. All batch members report the same clamped `now`, so
-    // the drain-horizon check moves out of the per-event path; events a
-    // handler schedules at the batch's own timestamp land in a later
-    // batch, exactly where FIFO tie order already places them — the
-    // dispatch sequence is the one-at-a-time pop sequence unchanged.
     let mut batch: Vec<(SimTime, Event)> = Vec::with_capacity(64);
     while queue.pop_batch(&mut batch) > 0 {
         if batch[0].0 > horizon {
@@ -944,10 +872,7 @@ fn run_partition<C: Collector>(
             match event {
                 Event::SendDue { node, conn } => {
                     let st = &mut states[node as usize];
-                    let desc = match st.desc_rng.as_mut() {
-                        Some(rng) => service.next_descriptor(rng),
-                        None => service.next_descriptor(&mut service_rng),
-                    };
+                    let desc = service.next_descriptor(&mut st.desc_rng);
                     let plan = st.client.plan_send(conn as usize, now, &mut st.client_rng);
                     let raw = plan.wire + st.link.one_way(&mut st.net_rng);
                     let arrival = st.conns[conn as usize].deliver_to_server(raw);
@@ -1212,8 +1137,7 @@ where
 /// from fork 7 of the hedged node's own content-addressed master, fires
 /// only for measured requests, and dispatches no events — results stay
 /// bit-identical whatever `workers`, the OS schedule or the fleet
-/// declaration order. The legacy single-node stream layout
-/// (one node, unsharded) predates per-node masters and never hedges.
+/// declaration order.
 ///
 /// # Panics
 ///

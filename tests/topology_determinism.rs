@@ -2,14 +2,15 @@
 //! per-node randomness means a fleet's declaration order is presentation,
 //! not physics.
 
-use tpv_core::runtime::{run_once, run_topology, RunSpec};
+use tpv_core::collect::Collector;
+use tpv_core::runtime::{run_collected, run_once, run_topology, RunSpec};
 use tpv_core::topology::{ClientNode, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
-use tpv_sim::SimDuration;
+use tpv_sim::{SimDuration, SimTime};
 
 fn kv_service() -> ServiceConfig {
     ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
@@ -161,6 +162,51 @@ fn single_node_topology_is_run_once() {
     };
     let fleet = run_topology(&topo, 77);
     assert_eq!(fleet.aggregate, solo);
+}
+
+/// Records one node's `(conn, due)` send schedule.
+struct SendLog {
+    node: usize,
+    sends: Vec<(u32, SimTime)>,
+}
+
+impl Collector for SendLog {
+    fn on_send(&mut self, node: usize, conn: u32, due: SimTime, _wire: SimTime) {
+        if node == self.node {
+            self.sends.push((conn, due));
+        }
+    }
+}
+
+/// A lone node forks its streams exactly like a fleet node: the 1×1
+/// topology has no stream layout of its own, so an open-loop node's send
+/// schedule is the same alone, inside a fleet and inside that fleet
+/// reversed.
+#[test]
+fn a_lone_node_forks_like_a_fleet_node() {
+    let base = mixed_nodes();
+    let service = kv_service();
+    let server = MachineConfig::server_baseline();
+    let schedule = |order: &[usize]| {
+        let nodes: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
+        let topo = TopologySpec {
+            shards: None,
+            service: &service,
+            server: &server,
+            nodes: &nodes,
+            duration: SimDuration::from_ms(50),
+            warmup: SimDuration::from_ms(5),
+            cohorts: &[],
+        };
+        let node = order.iter().position(|&i| i == 0).expect("node 0 is declared");
+        let mut log = SendLog { node, sends: Vec::new() };
+        run_collected(&topo, 42, &mut log);
+        log.sends
+    };
+    let alone = schedule(&[0]);
+    assert!(alone.len() > 100, "the node must send ({} sends)", alone.len());
+    assert_eq!(alone, schedule(&[0, 1, 2]), "joining a fleet must not move the node's schedule");
+    assert_eq!(alone, schedule(&[2, 1, 0]), "the fleet's declaration order must not either");
 }
 
 #[test]
