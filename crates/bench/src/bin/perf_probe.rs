@@ -4,11 +4,8 @@
 //! Six scenarios cover the kernel's load-bearing shapes:
 //!
 //! * `samplers` — per-distribution sampler microbench: the aggregate
-//!   draw rate of the production (`tpv_math`-backed) samplers is the
-//!   gated quantity, and the scenario prints an interleaved A/B table
-//!   of ns/draw against inline libm reference transforms — alternating
-//!   short blocks on the same core so frequency scaling and cache state
-//!   hit both sides equally.
+//!   draw rate of the production (`tpv_math`-backed) samplers over a
+//!   fixed number of draws is the gated quantity.
 //! * `static_1x1` — the paper's testbed: one HP memcached client at
 //!   100K QPS (the `run_once` fast path).
 //! * `fleet_16` — a 16-node HP fleet, 100K QPS per node: the
@@ -247,49 +244,9 @@ fn time_scenario(name: &str, trials: usize, mut run: impl FnMut() -> (u64, u64))
 
 /// Draws per distribution in one timed `samplers` pass.
 const SAMPLER_DRAWS: usize = 100_000;
-/// Draws per interleaved A/B timing block.
-const AB_BLOCK: usize = 8_192;
-/// A/B blocks per side (median taken over them).
-const AB_ROUNDS: usize = 9;
-
-/// Times `AB_ROUNDS` alternating blocks of each transform (A then B,
-/// repeatedly, on one core) and returns their median ns/draw as
-/// `(libm, tpv_math)`. Each side owns an identically seeded stream, so
-/// both transform the same uniforms.
-fn ab_ns_per_draw(
-    mut libm_draw: impl FnMut(&mut tpv_sim::SimRng) -> f64,
-    mut fast_draw: impl FnMut(&mut tpv_sim::SimRng) -> f64,
-) -> (f64, f64) {
-    use std::hint::black_box;
-    let mut libm_rng = tpv_sim::SimRng::seed_from_u64(SEED);
-    let mut fast_rng = tpv_sim::SimRng::seed_from_u64(SEED);
-    let mut libm_ns = Vec::with_capacity(AB_ROUNDS);
-    let mut fast_ns = Vec::with_capacity(AB_ROUNDS);
-    for _ in 0..AB_ROUNDS {
-        let started = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..AB_BLOCK {
-            acc += libm_draw(&mut libm_rng);
-        }
-        black_box(acc);
-        libm_ns.push(started.elapsed().as_nanos() as f64 / AB_BLOCK as f64);
-        let started = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..AB_BLOCK {
-            acc += fast_draw(&mut fast_rng);
-        }
-        black_box(acc);
-        fast_ns.push(started.elapsed().as_nanos() as f64 / AB_BLOCK as f64);
-    }
-    (tpv_stats::desc::median(&libm_ns), tpv_stats::desc::median(&fast_ns))
-}
 
 /// The sampler microbench: gates on the aggregate draw rate of the
-/// production samplers and prints the per-distribution interleaved A/B
-/// table against libm reference transforms. The reference closures
-/// consume the same number of uniforms per draw as the production path
-/// (1, or 2 for the Box–Muller pair), so the RNG overhead cancels and
-/// the ratio isolates the transcendental kernels.
+/// production samplers over a fixed `SAMPLER_DRAWS` per distribution.
 fn samplers(trials: usize) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_sim::dist::{Exponential, GeneralizedPareto, Gev, LogNormal, Normal, Pareto, Sampler, Zipf};
@@ -301,56 +258,6 @@ fn samplers(trials: usize) -> ScenarioReport {
     let gpd = GeneralizedPareto::new(0.0, 1.0, 0.2);
     let gev = Gev::new(0.0, 1.0, 0.3);
     let zipf = Zipf::new(10_000, 0.99);
-
-    // Inline libm references replicate each production transform's
-    // arithmetic with `std` math calls — perf references, not bit
-    // references (the whole point of tpv_math is that libm's bits vary).
-    let ln_mu = 100.0f64.ln() - 0.5 * 0.5 / 2.0;
-    let table: Vec<(&str, (f64, f64))> = vec![
-        ("exponential", ab_ns_per_draw(|r| -10.0 * (1.0 - r.next_f64()).ln(), |r| exp.sample(r))),
-        (
-            "normal",
-            ab_ns_per_draw(
-                |r| {
-                    let (a, b) = (r.next_f64(), r.next_f64());
-                    let z = (-2.0 * (1.0 - a).ln()).sqrt() * (std::f64::consts::TAU * b).cos();
-                    100.0 + 15.0 * z
-                },
-                |r| norm.sample(r),
-            ),
-        ),
-        (
-            "lognormal",
-            ab_ns_per_draw(
-                |r| {
-                    let (a, b) = (r.next_f64(), r.next_f64());
-                    let z = (-2.0 * (1.0 - a).ln()).sqrt() * (std::f64::consts::TAU * b).cos();
-                    (ln_mu + 0.5 * z).exp()
-                },
-                |r| lnorm.sample(r),
-            ),
-        ),
-        ("pareto", ab_ns_per_draw(|r| 1.0 / (1.0 - r.next_f64()).powf(1.0 / 1.5), |r| pareto.sample(r))),
-        ("gpd", ab_ns_per_draw(|r| ((1.0 - r.next_f64()).powf(-0.2) - 1.0) / 0.2, |r| gpd.sample(r))),
-        (
-            "gev",
-            ab_ns_per_draw(
-                |r| {
-                    let ln_u = -(1.0 - r.next_f64()).ln();
-                    (ln_u.powf(-0.3) - 1.0) / 0.3
-                },
-                |r| gev.sample(r),
-            ),
-        ),
-    ];
-    println!("samplers: interleaved A/B, median ns/draw over {AB_ROUNDS} blocks of {AB_BLOCK}");
-    println!("| sampler | libm ref | tpv_math | ratio |");
-    println!("|---|---|---|---|");
-    for (name, (libm_ns, fast_ns)) in &table {
-        let ratio = if *fast_ns > 0.0 { libm_ns / fast_ns } else { 0.0 };
-        println!("| {name} | {libm_ns:.1} ns | {fast_ns:.1} ns | {ratio:.2}x |");
-    }
-    println!();
 
     // The gated leg: one pass over every production sampler. events =
     // total draws, so events/sec is the aggregate sampler draw rate.

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use tpv_core::control::{ControlResult, ControlSpec, Controller, MitigationPolicy};
 use tpv_core::engine::{fingerprint_control, fingerprint_topology, Engine, JobPlan, RunCache};
+use tpv_core::runtime::FleetRun;
 use tpv_core::topology::TopologySpec;
 
 use crate::studies;
@@ -54,14 +55,10 @@ impl StudyCtx {
     /// fingerprint → plan → execute → regroup convention lives in one
     /// place.
     ///
-    /// `run(topology, seed, intra_workers)` picks the view a study
-    /// renders: [`tpv_core::runtime::run_topology`] for per-node
-    /// breakdowns, [`tpv_core::runtime::run_topology_sharded`] for the
-    /// per-shard breakdown, [`tpv_core::runtime::run_phased_sharded`] for
-    /// pooled per-phase statistics, [`tpv_core::runtime::run_cohorted`]
-    /// for per-cohort rollups. The engine splits its worker budget
-    /// between job-level and intra-run (shard-level) parallelism and
-    /// passes the intra-run share as `intra_workers`; results are
+    /// Every run is a [`tpv_core::runtime::run_fleet`]: a study reads the
+    /// [`FleetRun`] fields it renders — per-node, per-shard, per-phase
+    /// or per-cohort. The engine splits its worker budget between
+    /// job-level and intra-run (shard-level) parallelism; results are
     /// bit-identical either way.
     ///
     /// # Panics
@@ -70,17 +67,10 @@ impl StudyCtx {
     /// topology fails validation — `all_experiments` isolates study
     /// panics, so a misconfigured study reports its typed error without
     /// aborting the rest of the suite.
-    pub fn run_cells<R: Send>(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-        run: impl Fn(&TopologySpec<'_>, u64, usize) -> R + Sync,
-    ) -> Vec<Vec<R>> {
+    pub fn run_cells(&self, topos: &[TopologySpec<'_>], runs: usize, seed: u64) -> Vec<Vec<FleetRun>> {
         let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
         let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results =
-            self.engine.execute_fleet(&plan, |cell| topos[cell], run).unwrap_or_else(|e| panic!("{e}"));
+        let results = self.engine.execute_fleet(&plan, |cell| topos[cell]).unwrap_or_else(|e| panic!("{e}"));
         per_cell(topos.len(), runs, results)
     }
 

@@ -232,7 +232,7 @@ impl Collector for PerNodeCollector {
 
 /// Accumulates one latency histogram and one statistics block per
 /// *cohort* of a cohort-compressed fleet — the collection behind
-/// [`crate::runtime::run_cohorted`].
+/// [`crate::runtime::FleetRun::cohorts`].
 ///
 /// Node indices are mapped to cohorts through the lowered fleet's
 /// cohort map (see
@@ -419,7 +419,8 @@ impl Collector for TraceCollector {
 
 /// Forwards every hook to both collectors — composition for runs that
 /// need two independent collections in one pass (e.g. per-node *and*
-/// per-phase, which is what [`crate::runtime::run_phased_sharded`] does).
+/// per-phase and per-cohort, which is what [`crate::runtime::run_fleet`]
+/// does by nesting pairs).
 impl<A: Collector, B: Collector> Collector for (A, B) {
     #[inline]
     fn on_event(&mut self, now: SimTime) {

@@ -18,7 +18,7 @@
 //!   serial, parallel and shuffled execution are bit-identical. The
 //!   scheduling core ([`Engine::execute_jobs`]) is payload-generic:
 //!   single-client cells ([`Engine::execute`]) and fleet topologies
-//!   ([`Engine::execute_fleet`], any fleet runner) ride the same pool.
+//!   ([`Engine::execute_fleet`]) ride the same pool.
 //! * [`RunCache`] memoizes results keyed by a [`RunSpec`] fingerprint and
 //!   seed. Identical jobs shared across experiments — the paper's
 //!   baseline cells appear in several figures — execute once per process
@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 
 use tpv_sim::SimRng;
 
-use crate::runtime::{run_once, RunResult, RunSpec};
+use crate::runtime::{run_fleet, run_once, FleetRun, RunResult, RunSpec};
 use crate::topology::{TopologyError, TopologySpec};
 
 /// One schedulable unit of work: a single seeded run of one cell.
@@ -350,23 +350,18 @@ impl Engine {
         self.execute_jobs(plan, |job| self.execute_job(job, &spec_of))
     }
 
-    /// Executes every job of `plan` as a fleet run: `run(topology, seed,
-    /// intra_workers)` on the topology `spec_of` materialises for the
-    /// job's cell. `run` is any fleet runner —
-    /// [`run_topology`](crate::runtime::run_topology),
-    /// [`run_topology_sharded`](crate::runtime::run_topology_sharded),
-    /// [`run_phased_sharded`](crate::runtime::run_phased_sharded),
-    /// [`run_cohorted`](crate::runtime::run_cohorted) — and the results
-    /// come back as `(cell, run, result)` triples in `(cell, run)` order.
+    /// Executes every job of `plan` as a fleet run: [`run_fleet`] on the
+    /// topology `spec_of` materialises for the job's cell, with the
+    /// results coming back as `(cell, run, FleetRun)` triples in
+    /// `(cell, run)` order.
     ///
     /// The engine's worker budget is split between the two levels of
     /// parallelism: the job pool takes as many workers as it has jobs,
-    /// and `intra_workers` hands whatever is left over to the shards
-    /// *inside* each run — a plan with one job on an 8-way engine runs
-    /// its shards 8 wide, while a 50-job study keeps job-level
-    /// parallelism and runs each job's shards serially. Every fleet
-    /// runner is bit-identical at any worker count, so the split never
-    /// shows in the results.
+    /// and whatever is left over goes to the shards *inside* each run — a
+    /// plan with one job on an 8-way engine runs its shards 8 wide, while
+    /// a 50-job study keeps job-level parallelism and runs each job's
+    /// shards serially. `run_fleet` is bit-identical at any worker count,
+    /// so the split never shows in the results.
     ///
     /// Fleet jobs bypass the [`RunCache`]: per-node payloads are large
     /// relative to an aggregate [`RunResult`] and fleet cells are
@@ -377,24 +372,40 @@ impl Engine {
     ///
     /// Every cell is validated *before* any job executes; the first
     /// misconfigured cell (e.g. `warmup >= duration`, or a phased rate
-    /// plan with a NaN multiplier) returns its [`TopologyError`] and
-    /// `run` is never called.
-    pub fn execute_fleet<'s, R, F, G>(
+    /// plan with a NaN multiplier) returns its [`TopologyError`] and no
+    /// job runs.
+    pub fn execute_fleet<'s, F>(
         &self,
         plan: &JobPlan,
         spec_of: F,
-        run: G,
+    ) -> Result<Vec<(usize, usize, FleetRun)>, TopologyError>
+    where
+        F: Fn(usize) -> TopologySpec<'s> + Sync,
+    {
+        self.fleet_jobs(plan, spec_of, |topo, seed, workers| {
+            run_fleet(topo, seed, workers).expect("fleet_jobs validates every cell first")
+        })
+    }
+
+    /// [`Engine::execute_fleet`] with the per-job runner as a parameter,
+    /// so the worker budget each job receives is observable in tests:
+    /// validates every cell, then calls `run(topology, seed, workers)`
+    /// per job with the budget the job pool leaves over.
+    fn fleet_jobs<'s, F, R>(
+        &self,
+        plan: &JobPlan,
+        spec_of: F,
+        run: impl Fn(&TopologySpec<'s>, u64, usize) -> R + Sync,
     ) -> Result<Vec<(usize, usize, R)>, TopologyError>
     where
-        R: Send,
         F: Fn(usize) -> TopologySpec<'s> + Sync,
-        G: Fn(&TopologySpec<'s>, u64, usize) -> R + Sync,
+        R: Send,
     {
         for cell in 0..plan.cell_count() {
             spec_of(cell).validate()?;
         }
-        let outer = self.effective_workers(plan.jobs().len());
-        let intra = (self.requested_workers() / outer).max(1);
+        let jobs = plan.jobs().len();
+        let intra = (self.requested_workers() / self.effective_workers(jobs)).max(1);
         Ok(self.execute_jobs(plan, |job| run(&spec_of(job.cell), job.seed, intra)))
     }
 
@@ -420,7 +431,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_topology;
     use tpv_hw::MachineConfig;
     use tpv_loadgen::GeneratorSpec;
     use tpv_net::LinkConfig;
@@ -572,9 +582,7 @@ mod tests {
             cohorts: &[],
         };
         let plan = JobPlan::new(9, &[fingerprint_topology(&topo)], 3);
-        let fleet = |engine: Engine| {
-            engine.execute_fleet(&plan, |_| topo, |t, seed, _| run_topology(t, seed)).expect("valid topology")
-        };
+        let fleet = |engine: Engine| engine.execute_fleet(&plan, |_| topo).expect("valid topology");
         let serial = fleet(Engine::serial());
         let parallel = fleet(Engine::with_workers(4));
         assert_eq!(serial, parallel, "fleet runs must be bit-identical across parallelism");
@@ -582,6 +590,51 @@ mod tests {
         assert_eq!(serial[0].2.nodes.len(), 3);
         // Distinct seeds per run: fresh environments per fleet run.
         assert_ne!(serial[0].2.aggregate, serial[1].2.aggregate);
+    }
+
+    #[test]
+    fn fleet_worker_budget_splits_between_jobs_and_shards() {
+        use crate::topology::{uniform_fleet, TopologySpec};
+        use tpv_loadgen::GeneratorSpec;
+        use tpv_net::LinkConfig;
+
+        let service = service();
+        let server = MachineConfig::server_baseline();
+        let nodes = uniform_fleet(
+            "agent",
+            MachineConfig::high_performance(),
+            GeneratorSpec::mutilate(),
+            LinkConfig::cloudlab_lan(),
+            20_000.0,
+            2,
+        );
+        let topo = TopologySpec {
+            shards: None,
+            service: &service,
+            server: &server,
+            nodes: &nodes,
+            duration: SimDuration::from_ms(20),
+            warmup: SimDuration::from_ms(2),
+            cohorts: &[],
+        };
+        let fp = [fingerprint_topology(&topo)];
+        // One job takes the whole budget for its shards; a plan with as
+        // many jobs as workers keeps job-level parallelism and runs each
+        // job's shards serially. The recording runner sees the budget
+        // exactly as `execute_fleet` hands it to `run_fleet`.
+        for (engine, runs, budget) in [
+            (Engine::with_workers(8), 1, 8),
+            (Engine::with_workers(8), 3, 2),
+            (Engine::with_workers(8), 8, 1),
+            (Engine::with_workers(8), 50, 1),
+            (Engine::serial(), 1, 1),
+        ] {
+            let plan = JobPlan::new(17, &fp, runs);
+            let budgets =
+                engine.fleet_jobs(&plan, |_| topo, |_, _, workers| workers).expect("valid topology");
+            let budgets: Vec<usize> = budgets.into_iter().map(|(_, _, w)| w).collect();
+            assert_eq!(budgets, vec![budget; runs], "{runs}-job worker split");
+        }
     }
 
     #[test]
@@ -613,19 +666,19 @@ mod tests {
         let cells = [valid, no_window, TopologySpec { duration: SimDuration::from_ms(30), ..valid }];
         let fingerprints: Vec<u64> = cells.iter().map(fingerprint_topology).collect();
         let plan = JobPlan::new(5, &fingerprints, 2);
+        // Validation materialises each cell once and every job does so
+        // again: failing at cell 1 of 3 after exactly two calls proves
+        // that validation stopped there and no job ran.
         let calls = AtomicUsize::new(0);
         let err = Engine::with_workers(4)
-            .execute_fleet(
-                &plan,
-                |cell| cells[cell],
-                |_, _, _| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                },
-            )
+            .execute_fleet(&plan, |cell| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                cells[cell]
+            })
             .unwrap_err();
         assert_eq!(err, no_window.validate().unwrap_err(), "the middle cell's error must surface");
         assert!(matches!(err, TopologyError::EmptyWindow { .. }));
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "no job may run before every cell validates");
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "no job may run before every cell validates");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! event queue.
 //!
 //! One [`run_once`] call = one paper "run" of the trivial 1×1 topology;
-//! [`run_topology`] executes an arbitrary [`TopologySpec`] — N client
+//! [`run_fleet`] executes an arbitrary [`TopologySpec`] — N client
 //! nodes with heterogeneous hardware configurations, per-pair links, and
 //! a shared server tier. The kernel wires each node's generator
 //! ([`tpv_loadgen::ClientSide`]) and link ([`tpv_net::Link`]) to the
@@ -26,21 +26,21 @@
 //! * runs can be **time-varying**: a node's
 //!   [`NodeDynamics`] schedules deterministic phase boundaries at which
 //!   its machine configuration, offered rate and/or link switch, and
-//!   [`run_phased_sharded`] reports the per-phase latency regimes next
-//!   to the whole-run fleet result;
+//!   [`FleetRun::phases`] reports the per-phase latency regimes next to
+//!   the whole-run aggregate;
 //! * the server tier can be **sharded**
 //!   ([`crate::topology::ShardSpec`]): each shard is its own backend
 //!   machine and service instance, shards share no mutable state, and
 //!   the kernel partitions the run into independent per-shard
-//!   sub-simulations — executed serially here, or concurrently by
-//!   [`run_topology_sharded`] with bit-identical results whatever the
-//!   thread count or schedule;
+//!   sub-simulations — executed serially by [`run_collected`], or
+//!   concurrently by [`run_fleet`] and [`run_sharded_collected`] with
+//!   bit-identical results whatever the thread count or schedule;
 //! * client populations compress through
 //!   [`crate::topology::CohortSpec`]s: before partitioning, the kernel
 //!   *lowers* each cohort into its tracked replicas plus one pooled
 //!   node at the superposed arrival rate, so a million modeled clients
-//!   execute as a few dozen kernel nodes ([`run_cohorted`] reports the
-//!   per-cohort rollups next to the fleet view).
+//!   execute as a few dozen kernel nodes ([`FleetRun::cohorts`] reports
+//!   the per-cohort rollups next to the per-node breakdown).
 //!
 //! Every topology, the 1×1 included, forks each node's streams from the
 //! global master under the node's content key, so a node draws the same
@@ -55,7 +55,7 @@
 //! the misconfigured low-power node is visibly the straggler:
 //!
 //! ```
-//! use tpv_core::runtime::run_topology;
+//! use tpv_core::runtime::run_fleet;
 //! use tpv_core::topology::{ClientNode, TopologySpec};
 //! use tpv_hw::MachineConfig;
 //! use tpv_loadgen::GeneratorSpec;
@@ -78,8 +78,8 @@
 //!     shards: None,
 //!     cohorts: &[],
 //! };
-//! let a = run_topology(&topo, 42);
-//! assert_eq!(a, run_topology(&topo, 42));
+//! let a = run_fleet(&topo, 42, 1).expect("valid topology");
+//! assert_eq!(a, run_fleet(&topo, 42, 2).expect("valid topology"));
 //! assert!(a.nodes[1].result.p99 > a.nodes[0].result.p99);
 //! ```
 
@@ -95,8 +95,8 @@ use crate::collect::{
     PhaseCollector, PhaseStats, TraceCollector,
 };
 use crate::topology::{
-    node_stream_keys, ClientNode, CohortResult, CohortedFleetResult, FleetLayout, FleetResult, NodeDynamics,
-    NodeResult, ShardResult, ShardedFleetResult, TopologyError, TopologySpec,
+    node_stream_keys, ClientNode, CohortResult, FleetLayout, NodeDynamics, NodeResult, ShardResult,
+    TopologyError, TopologySpec,
 };
 
 /// Everything needed to execute one run.
@@ -410,6 +410,26 @@ impl<'a> NodeState<'a> {
     }
 }
 
+/// The 1×1 topology of a [`RunSpec`] over `nodes` (its
+/// [`RunSpec::client_node`]) — the one lowering [`run_once`] and
+/// [`run_traced`] share.
+///
+/// # Panics
+///
+/// Panics if `qps` is not positive.
+fn one_node_topology<'a>(spec: &RunSpec<'a>, nodes: &'a [ClientNode]) -> TopologySpec<'a> {
+    assert!(spec.qps > 0.0, "offered load must be positive, got {}", spec.qps);
+    TopologySpec {
+        shards: None,
+        service: spec.service,
+        server: spec.server,
+        nodes,
+        duration: spec.duration,
+        warmup: spec.warmup,
+        cohorts: &[],
+    }
+}
+
 /// Executes one run of the testbed with the given seed.
 ///
 /// Deterministic: the same `(spec, seed)` produces bit-identical results.
@@ -419,18 +439,8 @@ impl<'a> NodeState<'a> {
 ///
 /// Panics if `qps` is not positive or `warmup >= duration`.
 pub fn run_once(spec: &RunSpec<'_>, seed: u64) -> RunResult {
-    assert!(spec.qps > 0.0, "offered load must be positive, got {}", spec.qps);
     let nodes = [spec.client_node()];
-    let topo = TopologySpec {
-        shards: None,
-        service: spec.service,
-        server: spec.server,
-        nodes: &nodes,
-        duration: spec.duration,
-        warmup: spec.warmup,
-        cohorts: &[],
-    };
-    run_collected(&topo, seed, &mut NullCollector)
+    run_collected(&one_node_topology(spec, &nodes), seed, &mut NullCollector)
 }
 
 /// Like [`run_once`], additionally collecting up to `max_trace` traced
@@ -440,18 +450,8 @@ pub fn run_once(spec: &RunSpec<'_>, seed: u64) -> RunResult {
 ///
 /// Panics if `qps` is not positive or `warmup >= duration`.
 pub fn run_traced(spec: &RunSpec<'_>, seed: u64, max_trace: usize) -> (RunResult, RunTrace) {
-    assert!(spec.qps > 0.0, "offered load must be positive, got {}", spec.qps);
-    assert!(spec.warmup < spec.duration, "warmup must be shorter than the run");
     let nodes = [spec.client_node()];
-    let topo = TopologySpec {
-        shards: None,
-        service: spec.service,
-        server: spec.server,
-        nodes: &nodes,
-        duration: spec.duration,
-        warmup: spec.warmup,
-        cohorts: &[],
-    };
+    let topo = one_node_topology(spec, &nodes);
     let n_conns = spec.generator.connections.max(1) as usize;
     let per_conn_gap = SimDuration::from_secs_f64(n_conns as f64 / spec.qps);
     // Expected sends bound the trace pre-allocation alongside max_trace.
@@ -462,123 +462,153 @@ pub fn run_traced(spec: &RunSpec<'_>, seed: u64, max_trace: usize) -> (RunResult
     (result, collector.into_trace())
 }
 
-/// Executes one run of a topology, returning the aggregate plus per-node
-/// breakdowns (one per *lowered* node for cohorted topologies, labelled
-/// per [`crate::topology::CohortedFleetResult::fleet`]'s convention).
-///
-/// Deterministic: the same `(spec, seed)` produces bit-identical results,
-/// and per-node results are invariant under permutation of the node
-/// declaration order (content-addressed per-node seeds).
-///
-/// # Panics
-///
-/// Panics if [`TopologySpec::validate`] rejects the topology.
-pub fn run_topology(topo: &TopologySpec<'_>, seed: u64) -> FleetResult {
-    let layout = topo.layout();
-    let mut collector = PerNodeCollector::new(layout.len());
-    let aggregate = run_collected(topo, seed, &mut collector);
-    FleetResult { aggregate, nodes: node_results(&layout, collector) }
-}
-
-/// Zips a lowered layout with a filled per-node collector into labelled
-/// [`NodeResult`]s — shared by every entry point that reports per-node
-/// breakdowns, so lowered-node labelling cannot drift between them.
-fn node_results(layout: &FleetLayout<'_>, collector: PerNodeCollector) -> Vec<NodeResult> {
-    collector
-        .into_results()
-        .into_iter()
-        .enumerate()
-        .map(|(i, result)| NodeResult { label: layout.display_label(i), result })
-        .collect()
-}
-
-/// The measurements of one phased fleet run: the whole-run fleet view,
-/// the per-shard breakdown and the pooled per-phase latency regimes.
+/// The measurements of one fleet run, flat: the aggregate the
+/// experimenter would naively report, plus every breakdown that explains
+/// it — per client node, per server shard, per phase of the topology's
+/// schedule and per cohort.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PhasedFleetResult {
-    /// Whole-run aggregate and per-node breakdowns (identical in shape
-    /// to [`run_topology`]'s result).
-    pub fleet: FleetResult,
-    /// Whole-run per-shard breakdown in shard declaration order — one
-    /// entry covering the whole fleet for a single-tier topology
-    /// (identical in shape to [`run_topology_sharded`]'s breakdown).
+pub struct FleetRun {
+    /// Fleet-wide measurements (all nodes' requests pooled, counters
+    /// summed) — identical in shape to a single-client [`RunResult`].
+    pub aggregate: RunResult,
+    /// Per-node breakdowns over the *lowered* fleet, in lowered order:
+    /// explicit nodes keep their declared labels, tracked cohort members
+    /// are labelled `label#k` and pooled remainders `label#pooled(n)`.
+    pub nodes: Vec<NodeResult>,
+    /// Per-shard breakdowns in shard declaration order — one entry
+    /// covering the whole fleet for a single-tier topology.
     pub shards: Vec<ShardResult>,
-    /// Pooled per-phase statistics over the topology's merged schedule
-    /// (one all-covering phase for a fully static topology), restricted
-    /// to phases overlapping the measurement window.
+    /// Pooled per-phase statistics over the topology's
+    /// [`TopologySpec::merged_schedule`], restricted to phases
+    /// overlapping the measurement window — one all-covering phase for a
+    /// static topology, whose latency stats repeat the aggregate's.
     pub phases: Vec<PhaseStats>,
+    /// Per-cohort rollups in cohort declaration order (empty for a
+    /// cohort-free topology).
+    pub cohorts: Vec<CohortResult>,
 }
 
-impl PhasedFleetResult {
+impl FleetRun {
+    /// The breakdown for the node labelled `label`.
+    pub fn node(&self, label: &str) -> Option<&NodeResult> {
+        self.nodes.iter().find(|n| n.label == label)
+    }
+
+    /// The largest per-node p99 — the straggler client's tail.
+    pub fn worst_node_p99(&self) -> SimDuration {
+        self.nodes.iter().map(|n| n.result.p99).max().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The smallest per-node p99.
+    pub fn best_node_p99(&self) -> SimDuration {
+        self.nodes.iter().map(|n| n.result.p99).min().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The largest per-shard p99 — the hottest backend's tail.
+    pub fn worst_shard_p99(&self) -> SimDuration {
+        self.shards.iter().map(|s| s.result.p99).max().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The smallest per-shard p99 among shards that served requests.
+    pub fn best_shard_p99(&self) -> SimDuration {
+        self.shards
+            .iter()
+            .filter(|s| s.result.samples > 0)
+            .map(|s| s.result.p99)
+            .min()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
     /// The per-phase stats for schedule phase `phase`, if it overlaps
     /// the measurement window.
     pub fn phase(&self, phase: usize) -> Option<&PhaseStats> {
         self.phases.iter().find(|p| p.phase == phase)
     }
+
+    /// The rollup for the cohort whose template is labelled `label`.
+    pub fn cohort(&self, label: &str) -> Option<&CohortResult> {
+        self.cohorts.iter().find(|c| c.label == label)
+    }
+
+    /// The largest per-cohort p99 — the straggler class's tail.
+    pub fn worst_cohort_p99(&self) -> SimDuration {
+        self.cohorts.iter().map(|c| c.result.p99).max().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The smallest per-cohort p99 among cohorts that recorded samples.
+    pub fn best_cohort_p99(&self) -> SimDuration {
+        self.cohorts
+            .iter()
+            .filter(|c| c.result.samples > 0)
+            .map(|c| c.result.p99)
+            .min()
+            .unwrap_or(SimDuration::ZERO)
+    }
 }
 
-/// Like [`run_topology_sharded`], additionally bucketing pooled
-/// latencies by the phase their request was stamped in (over the
-/// topology's [`TopologySpec::merged_schedule`]). This is the entry
-/// point for time-varying studies: a phase boundary that switches
-/// machine state or load is visible as a regime change between
-/// consecutive [`PhaseStats`].
+/// Executes one run of a topology — static or phased, one tier or
+/// sharded, explicit nodes or cohorts — on up to `workers` threads and
+/// returns every view of it in one [`FleetRun`]. This is the library's
+/// one fleet entry point.
 ///
-/// Multi-shard (and cohorted) topologies ride the same work-stealing
-/// shard pool on up to `workers` threads (`1` is the fully serial
-/// execution), and per-phase histogram state merges across shards in
-/// canonical `(shard_key, shard_index)` order — see [`PhaseCollector`]
-/// — so the per-phase stats share the aggregate's determinism contract:
-/// bit-identical whatever `workers`, the steal schedule or the shard
-/// enumeration order.
-///
-/// The whole-run `fleet` half is produced by the same kernel pass, so it
-/// matches [`run_topology`]'s (and [`run_topology_sharded`]'s) output
-/// bit for bit.
+/// Determinism contract: the same `(topo, seed)` produces bit-identical
+/// results whatever `workers` (`1` is the fully serial execution), the
+/// OS schedule or the shard execution order. Per-node results are
+/// invariant under permutation of the node declaration order
+/// (content-addressed per-node seeds), and every float merge across
+/// shards — aggregate, per-phase and per-cohort state — folds in a
+/// canonical order (see [`PhaseCollector`] and [`PerCohortCollector`]).
 ///
 /// # Errors
 ///
 /// Returns the [`TopologyError`] from [`TopologySpec::validate`] on a
-/// structurally invalid spec.
-///
-/// # Panics
-///
-/// Panics on malformed hand-assembled plans, as
-/// [`TopologySpec::validate`] documents.
-pub fn run_phased_sharded(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-) -> Result<PhasedFleetResult, TopologyError> {
-    topo.validate()?;
-    let layout = topo.layout();
+/// structurally invalid spec — malformed dynamics plans and shard specs
+/// included — before anything runs.
+pub fn run_fleet(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> Result<FleetRun, TopologyError> {
+    let layout = topo.validated_layout()?;
     let n = layout.len();
     let schedule = topo.merged_schedule();
     let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
-    let (aggregate, shards, (per_node, per_phase)) =
-        run_sharded_collected(topo, seed, workers, |shard, shard_key| {
+    let cohort_of = layout.cohort_map();
+    let (aggregate, shards, (per_node, (per_phase, per_cohort))) =
+        sharded_kernel(topo, layout.nodes(), seed, workers, None, |shard, shard_key| {
             (
                 PerNodeCollector::new(n),
-                PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
+                (
+                    PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
+                    PerCohortCollector::new(cohort_of.clone(), topo.cohorts.len()),
+                ),
             )
         });
-    Ok(PhasedFleetResult {
-        fleet: FleetResult { aggregate, nodes: node_results(&layout, per_node) },
-        shards,
-        phases: per_phase.into_stats(),
-    })
+    let nodes = per_node
+        .into_results()
+        .into_iter()
+        .enumerate()
+        .map(|(i, result)| NodeResult { label: layout.display_label(i), result })
+        .collect();
+    let cohorts = topo
+        .cohorts
+        .iter()
+        .zip(per_cohort.into_results(topo.duration - topo.warmup))
+        .map(|(spec, result)| CohortResult {
+            label: spec.node.label.clone(),
+            population: spec.population,
+            tracked: spec.tracked.min(spec.population),
+            result,
+        })
+        .collect();
+    Ok(FleetRun { aggregate, nodes, shards, phases: per_phase.into_stats(), cohorts })
 }
 
-/// Validates a topology before execution — shared by every kernel entry
-/// point, so hand-assembled specs fail loudly whichever door they come
-/// in through. The checks live in [`TopologySpec::validate`] (where
-/// callers that prefer a reportable error get them as a
-/// [`TopologyError`]); this bridge panics with the error's message,
-/// preserving the historical panic contract.
-fn validate_topology(topo: &TopologySpec<'_>) {
-    if let Err(e) = topo.validate() {
-        panic!("{e}");
-    }
+/// Validates a topology before execution — shared by the collector
+/// entry points ([`run_collected`], [`run_sharded_collected`] and its
+/// hedged twin), so hand-assembled specs fail loudly whichever door they
+/// come in through. The checks live in [`TopologySpec::validate`]
+/// ([`run_fleet`] returns them as a [`TopologyError`]); this bridge
+/// panics with the error's message, preserving the panic contract of
+/// those entry points, and hands back the lowered layout.
+fn validate_topology<'t>(topo: &'t TopologySpec<'_>) -> FleetLayout<'t> {
+    topo.validated_layout().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One shard's slice of a run: the backend machine, the member nodes
@@ -747,9 +777,9 @@ fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResu
 }
 
 /// The serial topology kernel: executes one run, feeding observations to
-/// `collector`. This is the loop behind [`run_once`], [`run_traced`] and
-/// [`run_topology`]; the sharded entry points run the same per-partition
-/// kernel through [`run_sharded_collected`] instead. Sharded topologies
+/// `collector`. This is the loop behind [`run_once`] and [`run_traced`];
+/// [`run_fleet`] runs the same per-partition kernel through
+/// [`run_sharded_collected`] instead. Sharded topologies
 /// execute their partitions serially here, feeding the one collector in
 /// shard declaration order.
 ///
@@ -759,8 +789,7 @@ fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResu
 /// non-positive `qps`, invalid dynamics or cohorts, a bad shard spec,
 /// or `warmup >= duration`).
 pub fn run_collected<C: Collector>(topo: &TopologySpec<'_>, seed: u64, collector: &mut C) -> RunResult {
-    validate_topology(topo);
-    let layout = topo.layout();
+    let layout = validate_topology(topo);
     let master = SimRng::seed_from_u64(seed);
     let plans = build_partitions(topo, layout.nodes(), &master);
     let outcomes: Vec<PartitionOutcome> =
@@ -1028,75 +1057,8 @@ fn run_partition<C: Collector>(
     outcome
 }
 
-/// Like [`run_topology`] for a sharded server tier: executes the
-/// topology's independent per-shard sub-simulations on up to `workers`
-/// scoped threads (the same self-scheduling pattern as
-/// [`crate::engine::Engine`]'s job pool) and returns the fleet view next
-/// to the per-shard breakdown.
-///
-/// Determinism contract: results are **bit-identical** whatever
-/// `workers`, the OS schedule, or the shard execution order — each shard
-/// is a self-contained simulation with content-addressed RNG streams,
-/// and all merges happen in stable orders. `workers == 1` is the fully
-/// serial execution; an unsharded topology is the degenerate single
-/// partition (identical to [`run_topology`]).
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_topology_sharded(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> ShardedFleetResult {
-    let layout = topo.layout();
-    let n = layout.len();
-    let (aggregate, shards, collector) =
-        run_sharded_collected(topo, seed, workers, |_, _| PerNodeCollector::new(n));
-    ShardedFleetResult { fleet: FleetResult { aggregate, nodes: node_results(&layout, collector) }, shards }
-}
-
-/// Executes a cohort-compressed topology (sharded or not) on up to
-/// `workers` threads and returns the fleet view over the lowered nodes,
-/// the per-shard breakdown and the per-cohort rollups. This is the
-/// population-scale entry point: a million modeled clients compressed
-/// into a few dozen cohorts execute at the cost of the lowered fleet.
-///
-/// Determinism contract: like [`run_topology_sharded`], results are
-/// bit-identical whatever `workers` or the OS schedule — per-cohort
-/// state merges across shards in stable shard declaration order, and
-/// the per-cohort energy/target sums are order-independent
-/// (`stable_sum`). Works on topologies without cohorts too (the
-/// `cohorts` rollup is then empty).
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_cohorted(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> CohortedFleetResult {
-    let layout = topo.layout();
-    let n = layout.len();
-    let cohort_of = layout.cohort_map();
-    let n_cohorts = topo.cohorts.len();
-    let (aggregate, shards, (per_node, per_cohort)) = run_sharded_collected(topo, seed, workers, |_, _| {
-        (PerNodeCollector::new(n), PerCohortCollector::new(cohort_of.clone(), n_cohorts))
-    });
-    let measured = topo.duration - topo.warmup;
-    let cohorts = topo
-        .cohorts
-        .iter()
-        .zip(per_cohort.into_results(measured))
-        .map(|(spec, result)| CohortResult {
-            label: spec.node.label.clone(),
-            population: spec.population,
-            tracked: spec.tracked.min(spec.population),
-            result,
-        })
-        .collect();
-    CohortedFleetResult {
-        fleet: FleetResult { aggregate, nodes: node_results(&layout, per_node) },
-        shards,
-        cohorts,
-    }
-}
-
 /// The collector-generic parallel sharded kernel behind
-/// [`run_topology_sharded`]: every shard runs with its own collector
+/// [`run_fleet`]: every shard runs with its own collector
 /// (`make(shard, shard_key)` — the declaration index and the shard's
 /// canonical content key, so collectors that fold float state can defer
 /// to canonical `(key, index)` order like [`PhaseCollector`] does), and
@@ -1153,10 +1115,27 @@ where
     C: MergeCollector + Send,
     F: Fn(usize, u64) -> C + Sync,
 {
-    validate_topology(topo);
-    let layout = topo.layout();
+    let layout = validate_topology(topo);
+    sharded_kernel(topo, layout.nodes(), seed, workers, hedge, make)
+}
+
+/// The sharded kernel behind [`run_sharded_collected_hedged`] and
+/// [`run_fleet`], on an already validated topology and its lowered
+/// `nodes`.
+fn sharded_kernel<C, F>(
+    topo: &TopologySpec<'_>,
+    nodes: &[ClientNode],
+    seed: u64,
+    workers: usize,
+    hedge: Option<&crate::control::HedgePlan>,
+    make: F,
+) -> (RunResult, Vec<ShardResult>, C)
+where
+    C: MergeCollector + Send,
+    F: Fn(usize, u64) -> C + Sync,
+{
     let master = SimRng::seed_from_u64(seed);
-    let plans = build_partitions(topo, layout.nodes(), &master);
+    let plans = build_partitions(topo, nodes, &master);
     let workers = workers.clamp(1, plans.len());
     let per_shard: Vec<(PartitionOutcome, C)> = if workers <= 1 {
         plans
@@ -1438,7 +1417,7 @@ mod tests {
             warmup: spec.warmup,
             cohorts: &[],
         };
-        let fleet = run_topology(&topo, 11);
+        let fleet = run_fleet(&topo, 11, 1).expect("valid topology");
         assert_eq!(fleet.aggregate, solo, "1×1 topology must match run_once bit for bit");
         assert_eq!(fleet.nodes.len(), 1);
         // The single node's breakdown carries the same distribution.
@@ -1468,7 +1447,7 @@ mod tests {
             warmup: SimDuration::from_ms(10),
             cohorts: &[],
         };
-        let fleet = run_topology(&topo, 21);
+        let fleet = run_fleet(&topo, 21, 1).expect("valid topology");
         assert_eq!(fleet.nodes.len(), 4);
         let pooled: u64 = fleet.nodes.iter().map(|n| n.result.samples).sum();
         assert_eq!(fleet.aggregate.samples, pooled, "aggregate pools per-node samples");
@@ -1498,7 +1477,7 @@ mod tests {
         one_bad[0] = ClientNode::new("bad0", MachineConfig::low_power(), gen, link, 25_000.0);
         let duration = SimDuration::from_ms(60);
         let warmup = SimDuration::from_ms(10);
-        let clean = run_topology(
+        let clean = run_fleet(
             &TopologySpec {
                 shards: None,
                 service: &service,
@@ -1509,8 +1488,10 @@ mod tests {
                 cohorts: &[],
             },
             5,
-        );
-        let skewed = run_topology(
+            1,
+        )
+        .expect("valid topology");
+        let skewed = run_fleet(
             &TopologySpec {
                 shards: None,
                 service: &service,
@@ -1521,7 +1502,9 @@ mod tests {
                 cohorts: &[],
             },
             5,
-        );
+            1,
+        )
+        .expect("valid topology");
         assert!(
             skewed.aggregate.p99 > clean.aggregate.p99,
             "one bad client must inflate the pooled tail: {} !> {}",

@@ -20,9 +20,11 @@
 //!   in the declaration — permuting the fleet cannot change any node's
 //!   results.
 //!
-//! [`crate::runtime::run_topology`] executes a topology and returns a
-//! [`FleetResult`]: the familiar aggregate [`RunResult`] plus one
-//! [`NodeResult`] per client node.
+//! [`crate::runtime::run_fleet`] executes a topology and returns a
+//! [`crate::runtime::FleetRun`]: the familiar aggregate [`RunResult`]
+//! plus one [`NodeResult`] per client node, one [`ShardResult`] per
+//! server shard, the per-phase statistics and one [`CohortResult`] per
+//! cohort.
 //!
 //! Population-scale fleets compress through [`CohortSpec`]s: nodes
 //! sharing one configuration class collapse into a single *pooled* node
@@ -38,7 +40,7 @@
 //! irrelevant — each node's results follow the node wherever it moves:
 //!
 //! ```
-//! use tpv_core::runtime::run_topology;
+//! use tpv_core::runtime::run_fleet;
 //! use tpv_core::topology::{ClientNode, TopologySpec};
 //! use tpv_hw::MachineConfig;
 //! use tpv_loadgen::GeneratorSpec;
@@ -51,7 +53,7 @@
 //! let hp = ClientNode::new("hp", MachineConfig::high_performance(), gen, LinkConfig::cloudlab_lan(), 15_000.0);
 //! let lp = ClientNode::new("lp", MachineConfig::low_power(), gen, LinkConfig::cloudlab_lan(), 15_000.0);
 //! let run = |nodes: &[ClientNode]| {
-//!     run_topology(&TopologySpec {
+//!     let topo = TopologySpec {
 //!         service: &service,
 //!         server: &server,
 //!         nodes,
@@ -59,7 +61,8 @@
 //!         warmup: SimDuration::from_ms(3),
 //!         shards: None,
 //!         cohorts: &[],
-//!     }, 7)
+//!     };
+//!     run_fleet(&topo, 7, 1).expect("valid topology")
 //! };
 //! let fwd = run(&[hp.clone(), lp.clone()]);
 //! let rev = run(&[lp, hp]);
@@ -169,22 +172,31 @@ impl NodeDynamics {
         self
     }
 
-    /// Checks the per-phase vectors against the schedule — the runtime
-    /// calls this once per run so hand-assembled dynamics fail loudly.
+    /// Checks the per-phase vectors against the schedule of the node
+    /// labelled `label` — [`TopologySpec::validate`] calls this for every
+    /// dynamic node, so hand-assembled dynamics fail with a typed error.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any phase-count mismatch.
-    pub fn validate(&self) {
+    /// [`TopologyError::PlanScheduleMismatch`] when the machine or rate
+    /// plan follows another schedule, and
+    /// [`TopologyError::LinkCountMismatch`] unless there is one link per
+    /// phase.
+    pub fn validate(&self, label: &str) -> Result<(), TopologyError> {
+        let mismatch =
+            |plan: &'static str| TopologyError::PlanScheduleMismatch { label: label.to_owned(), plan };
+        if self.machine.as_ref().is_some_and(|m| *m.schedule() != self.schedule) {
+            return Err(mismatch("machine"));
+        }
+        if self.rate.as_ref().is_some_and(|r| *r.schedule() != self.schedule) {
+            return Err(mismatch("rate"));
+        }
         let phases = self.schedule.phase_count();
-        if let Some(machine) = &self.machine {
-            assert_eq!(*machine.schedule(), self.schedule, "machine plan must follow the node's schedule");
-        }
-        if let Some(rate) = &self.rate {
-            assert_eq!(*rate.schedule(), self.schedule, "rate plan must follow the node's schedule");
-        }
-        if let Some(links) = &self.links {
-            assert_eq!(links.len(), phases, "node dynamics needs one link per phase");
+        match &self.links {
+            Some(links) if links.len() != phases => {
+                Err(TopologyError::LinkCountMismatch { label: label.to_owned(), links: links.len(), phases })
+            }
+            _ => Ok(()),
         }
     }
 
@@ -372,9 +384,10 @@ impl CohortSpec {
 /// A structurally invalid [`TopologySpec`], reported by
 /// [`TopologySpec::validate`]. Misconfiguration surfaces as a value the
 /// caller can log and move past (`all_experiments` keeps its suite
-/// alive) instead of a mid-suite abort; the runtime entry points bridge
-/// `Err` back into a panic carrying this error's message, which
-/// preserves the historical panic pins.
+/// alive) instead of a mid-suite abort: [`crate::runtime::run_fleet`]
+/// returns it, while the collector entry points (`run_collected`,
+/// `run_sharded_collected`) bridge `Err` back into a panic carrying this
+/// error's message, which preserves their panic contract.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologyError {
     /// No client nodes and no cohorts.
@@ -447,6 +460,55 @@ pub enum TopologyError {
         /// The cohort template's label.
         label: String,
     },
+    /// A node's machine or rate plan follows a different schedule than
+    /// its [`NodeDynamics::schedule`].
+    PlanScheduleMismatch {
+        /// The offending node's label.
+        label: String,
+        /// Which plan disagrees: `"machine"` or `"rate"`.
+        plan: &'static str,
+    },
+    /// A node's per-phase link list does not hold one link per phase.
+    LinkCountMismatch {
+        /// The offending node's label.
+        label: String,
+        /// Links supplied.
+        links: usize,
+        /// Phases in the node's schedule.
+        phases: usize,
+    },
+    /// A [`ShardSpec`] with no machines.
+    EmptyShardTier,
+    /// A [`ShardPolicy::HotShard`] naming a shard past the tier.
+    HotShardOutOfRange {
+        /// The named hot shard.
+        hot: usize,
+        /// Shards in the tier.
+        shards: usize,
+    },
+    /// A [`ShardPolicy::HotShard`] share outside `(0, 1]` (NaN included).
+    BadHotShare {
+        /// The rejected share.
+        share: f64,
+    },
+    /// A [`ShardPolicy::Explicit`] assignment whose length is not the
+    /// lowered node count.
+    AssignmentLength {
+        /// Entries in the assignment.
+        assigned: usize,
+        /// Lowered nodes to assign.
+        nodes: usize,
+    },
+    /// A [`ShardPolicy::Explicit`] assignment sending a node past the
+    /// tier.
+    AssignmentOutOfRange {
+        /// The first offending node's index.
+        node: usize,
+        /// The shard it was assigned to.
+        shard: usize,
+        /// Shards in the tier.
+        shards: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -485,6 +547,25 @@ impl fmt::Display for TopologyError {
                 "cohort '{label}': pooled members require an open-loop generator (closed loops pace by \
                  think time, which superposed arrivals cannot model); track every member instead"
             ),
+            TopologyError::PlanScheduleMismatch { label, plan } => {
+                write!(f, "node '{label}': {plan} plan must follow the node's schedule")
+            }
+            TopologyError::LinkCountMismatch { label, links, phases } => write!(
+                f,
+                "node '{label}': node dynamics needs one link per phase, got {links} for {phases} phases"
+            ),
+            TopologyError::EmptyShardTier => write!(f, "a server tier needs at least one shard"),
+            TopologyError::HotShardOutOfRange { hot, shards } => {
+                write!(f, "hot shard {hot} out of range (K = {shards})")
+            }
+            TopologyError::BadHotShare { share } => write!(f, "hot-shard share must be in (0, 1], got {share}"),
+            TopologyError::AssignmentLength { assigned, nodes } => write!(
+                f,
+                "explicit assignment needs one shard per node, got {assigned} entries for {nodes} nodes"
+            ),
+            TopologyError::AssignmentOutOfRange { node, shard, shards } => {
+                write!(f, "node {node} assigned to shard {shard} of {shards}")
+            }
         }
     }
 }
@@ -640,7 +721,7 @@ pub enum ShardPolicy {
 /// node→shard assignment. Shards share no mutable state — every shard
 /// has its own worker queues, key space and interference draws — which
 /// is what lets the kernel execute them as independent sub-simulations
-/// (see `tpv_core::runtime::run_topology_sharded`).
+/// (see [`crate::runtime::run_fleet`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     /// One server machine configuration per shard.
@@ -669,28 +750,40 @@ impl ShardSpec {
 
     /// Checks the spec against a fleet of `nodes` client nodes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty tier, an out-of-range [`ShardPolicy::HotShard`]
-    /// or a malformed [`ShardPolicy::Explicit`] assignment.
-    pub fn validate(&self, nodes: usize) {
-        assert!(!self.machines.is_empty(), "a server tier needs at least one shard");
+    /// [`TopologyError::EmptyShardTier`] on an empty tier,
+    /// [`TopologyError::HotShardOutOfRange`] or
+    /// [`TopologyError::BadHotShare`] on a malformed
+    /// [`ShardPolicy::HotShard`], and
+    /// [`TopologyError::AssignmentLength`] or
+    /// [`TopologyError::AssignmentOutOfRange`] on a malformed
+    /// [`ShardPolicy::Explicit`] assignment.
+    pub fn validate(&self, nodes: usize) -> Result<(), TopologyError> {
+        let shards = self.count();
+        if shards == 0 {
+            return Err(TopologyError::EmptyShardTier);
+        }
         match &self.policy {
             ShardPolicy::RoundRobin | ShardPolicy::Range => {}
-            ShardPolicy::HotShard { hot, share } => {
-                assert!(*hot < self.count(), "hot shard {hot} out of range (K = {})", self.count());
-                assert!(
-                    *share > 0.0 && *share <= 1.0 && share.is_finite(),
-                    "hot-shard share must be in (0, 1], got {share}"
-                );
+            &ShardPolicy::HotShard { hot, share } => {
+                if hot >= shards {
+                    return Err(TopologyError::HotShardOutOfRange { hot, shards });
+                }
+                if !(share > 0.0 && share <= 1.0) {
+                    return Err(TopologyError::BadHotShare { share });
+                }
             }
             ShardPolicy::Explicit(assignment) => {
-                assert_eq!(assignment.len(), nodes, "explicit assignment needs one shard per node");
-                for (i, &s) in assignment.iter().enumerate() {
-                    assert!(s < self.count(), "node {i} assigned to shard {s} of {}", self.count());
+                if assignment.len() != nodes {
+                    return Err(TopologyError::AssignmentLength { assigned: assignment.len(), nodes });
+                }
+                if let Some((node, &shard)) = assignment.iter().enumerate().find(|&(_, &s)| s >= shards) {
+                    return Err(TopologyError::AssignmentOutOfRange { node, shard, shards });
                 }
             }
         }
+        Ok(())
     }
 
     /// The node→shard assignment for a fleet of `nodes` client nodes, in
@@ -698,9 +791,12 @@ impl ShardSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec fails [`ShardSpec::validate`].
+    /// Panics with the error's message if the spec fails
+    /// [`ShardSpec::validate`].
     pub fn assign(&self, nodes: usize) -> Vec<usize> {
-        self.validate(nodes);
+        if let Err(e) = self.validate(nodes) {
+            panic!("{e}");
+        }
         let k = self.count();
         match &self.policy {
             ShardPolicy::RoundRobin => (0..nodes).map(|i| i % k).collect(),
@@ -801,17 +897,22 @@ impl TopologySpec<'_> {
     }
 
     /// Checks the spec structurally, reporting misconfiguration as a
-    /// typed [`TopologyError`] a caller can surface without aborting.
-    /// The runtime entry points call this and panic on `Err` with the
-    /// error's message.
+    /// typed [`TopologyError`] a caller can surface without aborting —
+    /// malformed [`NodeDynamics`] plans and [`ShardSpec`]s included.
+    /// [`crate::runtime::run_fleet`] returns the error; the collector
+    /// entry points (`run_collected`, `run_sharded_collected`) panic with
+    /// its message.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (rather than returning `Err`) on malformed hand-assembled
-    /// *plans* — phase-count mismatches inside a [`NodeDynamics`] and
-    /// malformed [`ShardSpec`] assignments — which are programming
-    /// errors, not experiment configuration.
+    /// The first structural defect found, as a [`TopologyError`].
     pub fn validate(&self) -> Result<(), TopologyError> {
+        self.validated_layout().map(drop)
+    }
+
+    /// [`TopologySpec::validate`], handing back the lowered layout the
+    /// checks built so the kernel entry points lower the fleet once.
+    pub(crate) fn validated_layout(&self) -> Result<FleetLayout<'_>, TopologyError> {
         if self.nodes.is_empty() && self.cohorts.is_empty() {
             return Err(TopologyError::EmptyFleet);
         }
@@ -839,7 +940,7 @@ impl TopologySpec<'_> {
                 return Err(TopologyError::NonPositiveQps { label: node.label.clone(), qps: node.qps });
             }
             if let Some(dy) = &node.dynamics {
-                dy.validate();
+                dy.validate(&node.label)?;
                 if dy.schedule.phase_count() > u16::MAX as usize {
                     return Err(TopologyError::TooManyPhases {
                         label: node.label.clone(),
@@ -875,9 +976,9 @@ impl TopologySpec<'_> {
             return Err(TopologyError::EmptyWindow { warmup: self.warmup, duration: self.duration });
         }
         if let Some(shards) = self.shards {
-            shards.validate(layout.len());
+            shards.validate(layout.len())?;
         }
-        Ok(())
+        Ok(layout)
     }
 
     /// Number of kernel-executed nodes after cohort lowering.
@@ -1015,18 +1116,6 @@ pub struct NodeResult {
     pub result: RunResult,
 }
 
-/// The measurements of one fleet run: the aggregate the experimenter
-/// would naively report, plus the per-node breakdown that reveals which
-/// clients skewed it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetResult {
-    /// Fleet-wide measurements (all nodes' requests pooled, counters
-    /// summed) — identical in shape to a single-client [`RunResult`].
-    pub aggregate: RunResult,
-    /// Per-node breakdowns, in node declaration order.
-    pub nodes: Vec<NodeResult>,
-}
-
 /// The measurements of one server shard over a sharded fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
@@ -1038,35 +1127,6 @@ pub struct ShardResult {
     pub result: RunResult,
     /// Declaration indices of the client nodes assigned to this shard.
     pub nodes: Vec<usize>,
-}
-
-/// The measurements of one sharded fleet run: the fleet view (aggregate
-/// plus per-node breakdowns, identical in shape to
-/// [`crate::runtime::run_topology`]'s result) next to the per-shard
-/// breakdown that reveals backend imbalance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedFleetResult {
-    /// Whole-run fleet view.
-    pub fleet: FleetResult,
-    /// Per-shard breakdowns, in shard declaration order.
-    pub shards: Vec<ShardResult>,
-}
-
-impl ShardedFleetResult {
-    /// The largest per-shard p99 — the hottest backend's tail.
-    pub fn worst_shard_p99(&self) -> SimDuration {
-        self.shards.iter().map(|s| s.result.p99).max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The smallest per-shard p99 among shards that served requests.
-    pub fn best_shard_p99(&self) -> SimDuration {
-        self.shards
-            .iter()
-            .filter(|s| s.result.samples > 0)
-            .map(|s| s.result.p99)
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 /// The measurements of one cohort over a cohorted fleet run: every
@@ -1082,60 +1142,6 @@ pub struct CohortResult {
     pub tracked: u32,
     /// Pooled measurements over the cohort's lowered nodes.
     pub result: RunResult,
-}
-
-/// The measurements of one cohorted fleet run: the fleet view over the
-/// *lowered* nodes, the per-shard breakdown, and the per-cohort rollup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CohortedFleetResult {
-    /// Whole-run fleet view over the lowered nodes. Tracked members are
-    /// labelled `label#k` and pooled nodes `label#pooled(n)`; explicit
-    /// nodes keep their declared labels.
-    pub fleet: FleetResult,
-    /// Per-shard breakdowns, in shard declaration order (one entry for
-    /// the single-tier case).
-    pub shards: Vec<ShardResult>,
-    /// Per-cohort rollups, in cohort declaration order.
-    pub cohorts: Vec<CohortResult>,
-}
-
-impl CohortedFleetResult {
-    /// The rollup for the cohort whose template is labelled `label`.
-    pub fn cohort(&self, label: &str) -> Option<&CohortResult> {
-        self.cohorts.iter().find(|c| c.label == label)
-    }
-
-    /// The largest per-cohort p99 — the straggler class's tail.
-    pub fn worst_cohort_p99(&self) -> SimDuration {
-        self.cohorts.iter().map(|c| c.result.p99).max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The smallest per-cohort p99 among cohorts that recorded samples.
-    pub fn best_cohort_p99(&self) -> SimDuration {
-        self.cohorts
-            .iter()
-            .filter(|c| c.result.samples > 0)
-            .map(|c| c.result.p99)
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-}
-
-impl FleetResult {
-    /// The breakdown for the node labelled `label`.
-    pub fn node(&self, label: &str) -> Option<&NodeResult> {
-        self.nodes.iter().find(|n| n.label == label)
-    }
-
-    /// The largest per-node p99 — the straggler client's tail.
-    pub fn worst_node_p99(&self) -> SimDuration {
-        self.nodes.iter().map(|n| n.result.p99).max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The smallest per-node p99.
-    pub fn best_node_p99(&self) -> SimDuration {
-        self.nodes.iter().map(|n| n.result.p99).min().unwrap_or(SimDuration::ZERO)
-    }
 }
 
 #[cfg(test)]

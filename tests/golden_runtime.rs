@@ -16,9 +16,7 @@ use tpv_core::control::{
     AdmissionThrottle, ControlSpec, Controller, DoNothing, HedgeRequests, MitigationPolicy, RemediateNode,
     RerouteHotShard,
 };
-use tpv_core::runtime::{
-    run_cohorted, run_once, run_phased_sharded, run_topology_sharded, RunResult, RunSpec,
-};
+use tpv_core::runtime::{run_fleet, run_once, RunResult, RunSpec};
 use tpv_core::topology::{ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, LoopMode, PointOfMeasurement, TimingMode};
@@ -288,8 +286,8 @@ fn observe_phased(parts: &Parts, dynamics: &NodeDynamics, seed: u64) -> ([u64; 1
         warmup: spec.warmup,
         cohorts: &[],
     };
-    let phased = run_phased_sharded(&topo, seed, 1).expect("valid phased golden topology");
-    let row = golden_row(&phased.fleet.aggregate);
+    let phased = run_fleet(&topo, seed, 1).expect("valid phased golden topology");
+    let row = golden_row(&phased.aggregate);
     let phases = phased.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
     (row, phases)
 }
@@ -339,8 +337,8 @@ fn observe_sharded(shards: &ShardSpec, nodes: &[ClientNode], seed: u64) -> ([u64
     };
     // Three workers over four shards: the parallel path with an uneven
     // split, the strictest schedule to stay bit-identical under.
-    let sharded = run_topology_sharded(&topo, seed, 3);
-    let row = golden_row(&sharded.fleet.aggregate);
+    let sharded = run_fleet(&topo, seed, 3).expect("valid topology");
+    let row = golden_row(&sharded.aggregate);
     let shards_out = sharded.shards.iter().map(|s| [s.result.samples, s.result.p99.as_ns()]).collect();
     (row, shards_out)
 }
@@ -411,8 +409,8 @@ fn observe_phased_sharded(
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    let run = run_phased_sharded(&topo, seed, workers).expect("valid phased sharded golden topology");
-    let row = golden_row(&run.fleet.aggregate);
+    let run = run_fleet(&topo, seed, workers).expect("valid phased sharded golden topology");
+    let row = golden_row(&run.aggregate);
     let per_shard = run.shards.iter().map(|s| [s.result.samples, s.result.p99.as_ns()]).collect();
     let per_phase = run.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
     (row, per_shard, per_phase)
@@ -422,7 +420,7 @@ fn observe_phased_sharded(
 /// per-cohort `(samples, p99 ns)` pairs — a drift in the cohort
 /// lowering, the pooled arrival superposition or the per-cohort
 /// canonical merge trips the pin. Observed through the parallel
-/// `run_cohorted` entry point.
+/// `run_fleet` entry point.
 struct CohortGolden {
     name: &'static str,
     seed: u64,
@@ -468,8 +466,8 @@ fn observe_cohort(
         warmup: SimDuration::from_ms(6),
         cohorts,
     };
-    let run = run_cohorted(&topo, seed, 3);
-    let row = golden_row(&run.fleet.aggregate);
+    let run = run_fleet(&topo, seed, 3).expect("valid topology");
+    let row = golden_row(&run.aggregate);
     let per_cohort = run.cohorts.iter().map(|c| [c.result.samples, c.result.p99.as_ns()]).collect();
     (row, per_cohort)
 }
@@ -726,7 +724,7 @@ fn controlled_runs_match_their_pins() {
 /// explicit `ClientNode` — the cohort layer's central invariant (the
 /// analogue of the shard layer's K=1 rule), checked against the same
 /// `GOLDEN` rows the static kernel is pinned by, through the parallel
-/// `run_cohorted` entry point. Open-loop shapes exercise the *pooled*
+/// `run_fleet` entry point. Open-loop shapes exercise the *pooled*
 /// lowering (a pool of one), the closed-loop shape the tracked lowering.
 #[test]
 fn population_one_cohort_reproduces_the_static_goldens() {
@@ -756,8 +754,8 @@ fn population_one_cohort_reproduces_the_static_goldens() {
             warmup: spec.warmup,
             cohorts: &cohorts,
         };
-        let run = run_cohorted(&topo, g.seed, 2);
-        let row = golden_row(&run.fleet.aggregate);
+        let run = run_fleet(&topo, g.seed, 2).expect("valid topology");
+        let row = golden_row(&run.aggregate);
         assert_eq!(
             row, g.row,
             "{} seed {}: a population-1 cohort drifted from the static pin",
@@ -825,8 +823,8 @@ fn one_shard_tier_reproduces_the_static_goldens() {
             warmup: spec.warmup,
             cohorts: &[],
         };
-        let sharded = run_topology_sharded(&topo, g.seed, 4);
-        let row = golden_row(&sharded.fleet.aggregate);
+        let sharded = run_fleet(&topo, g.seed, 4).expect("valid topology");
+        let row = golden_row(&sharded.aggregate);
         assert_eq!(row, g.row, "{} seed {}: a one-shard tier drifted from the static pin", g.name, g.seed);
     }
 }
@@ -880,9 +878,9 @@ fn single_phase_schedule_over_a_sharded_tier_reproduces_the_sharded_goldens() {
             warmup: SimDuration::from_ms(6),
             cohorts: &[],
         };
-        let run = run_phased_sharded(&topo, g.seed, 3).expect("valid phased sharded topology");
+        let run = run_fleet(&topo, g.seed, 3).expect("valid phased sharded topology");
         assert_eq!(
-            golden_row(&run.fleet.aggregate),
+            golden_row(&run.aggregate),
             g.row,
             "{} seed {}: the phased path drifted from the static sharded pin",
             g.name,

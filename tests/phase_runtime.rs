@@ -4,7 +4,8 @@
 //! static topology kernel (same-seed reproducibility, permutation
 //! invariance) survives the phase layer.
 
-use tpv_core::runtime::{run_once, run_phased_sharded, run_topology, RunSpec};
+use tpv_core::collect::PerNodeCollector;
+use tpv_core::runtime::{run_collected, run_fleet, run_once, RunSpec};
 use tpv_core::topology::{ClientNode, NodeDynamics, TopologyError, TopologySpec};
 use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -58,11 +59,8 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
         .with_rates(vec![1.0])
         .with_links(vec![link]);
     let nodes = [spec.client_node().with_dynamics(dynamics.clone())];
-    let phased = run_phased_sharded(&topo(&service, &server, &nodes), 17, 1).expect("valid phased topology");
-    assert_eq!(
-        phased.fleet.aggregate, static_result,
-        "a degenerate schedule must not perturb the static kernel"
-    );
+    let phased = run_fleet(&topo(&service, &server, &nodes), 17, 1).expect("valid phased topology");
+    assert_eq!(phased.aggregate, static_result, "a degenerate schedule must not perturb the static kernel");
     // The whole run is one phase whose stats match the aggregate.
     assert_eq!(phased.phases.len(), 1);
     assert_eq!(phased.phases[0].samples, static_result.samples);
@@ -77,14 +75,14 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
         .collect();
     let mut phased_fleet = fleet.clone();
     phased_fleet[1] = fleet[1].clone().with_dynamics(dynamics);
-    let static_fleet = run_topology(&topo(&service, &server, &fleet), 17);
-    let phased =
-        run_phased_sharded(&topo(&service, &server, &phased_fleet), 17, 1).expect("valid phased topology");
-    assert_eq!(phased.fleet, static_fleet, "a degenerate schedule must not perturb a static fleet");
+    let static_fleet = run_fleet(&topo(&service, &server, &fleet), 17, 1).expect("valid topology");
+    let phased = run_fleet(&topo(&service, &server, &phased_fleet), 17, 1).expect("valid phased topology");
+    assert_eq!(phased, static_fleet, "a degenerate schedule must not perturb a static fleet");
 }
 
-/// `run_phased_sharded` on a static topology is `run_topology` plus one
-/// all-covering phase — same kernel pass, same bits.
+/// `run_fleet` on a static topology is the serial per-node kernel pass
+/// (`run_collected` with a `PerNodeCollector`) plus one all-covering
+/// phase — same bits.
 #[test]
 fn run_phased_on_static_topology_matches_run_topology() {
     let service = kv_service();
@@ -102,11 +100,16 @@ fn run_phased_on_static_topology_matches_run_topology() {
         })
         .collect();
     let spec = topo(&service, &server, &nodes);
-    let fleet = run_topology(&spec, 23);
-    let phased = run_phased_sharded(&spec, 23, 1).expect("valid phased topology");
-    assert_eq!(phased.fleet, fleet, "phased view must not perturb the fleet result");
+    let mut per_node = PerNodeCollector::new(nodes.len());
+    let aggregate = run_collected(&spec, 23, &mut per_node);
+    let phased = run_fleet(&spec, 23, 1).expect("valid phased topology");
+    assert_eq!(
+        (&phased.aggregate, phased.nodes.iter().map(|n| n.result.clone()).collect::<Vec<_>>()),
+        (&aggregate, per_node.into_results()),
+        "phased view must not perturb the fleet result"
+    );
     assert_eq!(phased.phases.len(), 1, "static topology has one merged phase");
-    assert_eq!(phased.phases[0].samples, fleet.aggregate.samples);
+    assert_eq!(phased.phases[0].samples, aggregate.samples);
 }
 
 /// A mid-run machine decay (HP -> LP) is visible as a latency regime
@@ -129,7 +132,7 @@ fn two_phase_machine_flip_shows_a_regime_change() {
         100_000.0,
     )
     .with_dynamics(dynamics)];
-    let phased = run_phased_sharded(&topo(&service, &server, &nodes), 5, 1).expect("valid phased topology");
+    let phased = run_fleet(&topo(&service, &server, &nodes), 5, 1).expect("valid phased topology");
     assert_eq!(phased.phases.len(), 2);
     let before = phased.phase(0).unwrap();
     let after = phased.phase(1).unwrap();
@@ -143,7 +146,7 @@ fn two_phase_machine_flip_shows_a_regime_change() {
     assert!(after.avg > before.avg);
     // The whole-run per-node result blends both regimes and reports the
     // deep wakes only the decayed half can produce.
-    let node = &phased.fleet.nodes[0].result;
+    let node = &phased.nodes[0].result;
     assert!(node.client_wakes[2] + node.client_wakes[3] > 0);
 }
 
@@ -163,7 +166,7 @@ fn stepped_load_tracks_the_multipliers() {
     )
     .with_dynamics(dynamics)];
     let spec = topo(&service, &server, &nodes);
-    let phased = run_phased_sharded(&spec, 9, 1).expect("valid phased topology");
+    let phased = run_fleet(&spec, 9, 1).expect("valid phased topology");
     let low = phased.phase(0).unwrap();
     let high = phased.phase(1).unwrap();
     assert!((low.achieved_qps / 40_000.0 - 1.0).abs() < 0.1, "low phase {}", low.achieved_qps);
@@ -171,7 +174,7 @@ fn stepped_load_tracks_the_multipliers() {
     // The reported target is the time-weighted offered load. Phase 0
     // covers [6ms, 30ms) of the 54ms window, phase 1 covers [30ms, 60ms).
     let expected = 80_000.0 * (0.5 * 24.0 + 2.0 * 30.0) / 54.0;
-    let agg = &phased.fleet.aggregate;
+    let agg = &phased.aggregate;
     assert!((agg.target_qps / expected - 1.0).abs() < 1e-9, "target {}", agg.target_qps);
     assert!((agg.achieved_qps / agg.target_qps - 1.0).abs() < 0.1);
 }
@@ -194,16 +197,16 @@ fn dynamic_fleets_are_permutation_invariant() {
     ];
     let run_order = |order: &[usize]| {
         let nodes: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
-        run_phased_sharded(&topo(&service, &server, &nodes), 31, 1).expect("valid phased topology")
+        run_fleet(&topo(&service, &server, &nodes), 31, 1).expect("valid phased topology")
     };
     let fwd = run_order(&[0, 1, 2]);
     let rev = run_order(&[2, 1, 0]);
-    assert_eq!(fwd.fleet.aggregate, rev.fleet.aggregate, "aggregate must ignore declaration order");
+    assert_eq!(fwd.aggregate, rev.aggregate, "aggregate must ignore declaration order");
     assert_eq!(fwd.phases, rev.phases, "per-phase stats must ignore declaration order");
     for label in ["decay", "steady", "surge"] {
         assert_eq!(
-            fwd.fleet.node(label).unwrap().result,
-            rev.fleet.node(label).unwrap().result,
+            fwd.node(label).unwrap().result,
+            rev.node(label).unwrap().result,
             "node '{label}' must be order-independent"
         );
     }
@@ -241,11 +244,11 @@ fn dynamic_runs_are_deterministic_per_seed() {
     )
     .with_dynamics(dynamics)];
     let spec = topo(&service, &server, &nodes);
-    let a = run_phased_sharded(&spec, 42, 1).expect("valid phased topology");
-    let b = run_phased_sharded(&spec, 42, 1).expect("valid phased topology");
+    let a = run_fleet(&spec, 42, 1).expect("valid phased topology");
+    let b = run_fleet(&spec, 42, 1).expect("valid phased topology");
     assert_eq!(a, b);
-    let c = run_phased_sharded(&spec, 43, 1).expect("valid phased topology");
-    assert_ne!(a.fleet.aggregate, c.fleet.aggregate);
+    let c = run_fleet(&spec, 43, 1).expect("valid phased topology");
+    assert_ne!(a.aggregate, c.aggregate);
 }
 
 /// A phased rate on a closed-loop generator is rejected with a typed
@@ -265,7 +268,7 @@ fn phased_rate_on_closed_loop_is_rejected() {
         10_000.0,
     )
     .with_dynamics(dynamics)];
-    let err = run_phased_sharded(&topo(&service, &server, &nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &nodes), 1, 1).unwrap_err();
     assert_eq!(err, TopologyError::PhasedRateClosedLoop { label: "closed".into() });
     assert!(err.to_string().contains("require an open-loop generator"), "{err}");
 }
@@ -294,7 +297,7 @@ fn non_finite_phase_rates_are_rejected() {
     };
 
     let nan_nodes = build(vec![1.0, f64::NAN]);
-    let err = run_phased_sharded(&topo(&service, &server, &nan_nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &nan_nodes), 1, 1).unwrap_err();
     assert!(
         matches!(
             err,
@@ -306,7 +309,7 @@ fn non_finite_phase_rates_are_rejected() {
     assert!(err.to_string().contains("NaN"), "{err}");
 
     let negative_nodes = build(vec![-0.5, 2.0]);
-    let err = run_phased_sharded(&topo(&service, &server, &negative_nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &negative_nodes), 1, 1).unwrap_err();
     assert_eq!(
         err,
         TopologyError::NonFinitePhaseRate { label: "poisoned".into(), phase: 0, multiplier: -0.5 }
@@ -314,12 +317,12 @@ fn non_finite_phase_rates_are_rejected() {
     assert!(err.to_string().contains("-0.5"), "{err}");
 
     let inf_nodes = build(vec![1.0, f64::INFINITY]);
-    let err = run_phased_sharded(&topo(&service, &server, &inf_nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &inf_nodes), 1, 1).unwrap_err();
     assert!(matches!(err, TopologyError::NonFinitePhaseRate { phase: 1, .. }), "{err:?}");
 
     // A well-formed plan through the same seam still validates.
     let fine_nodes = build(vec![0.5, 2.0]);
-    assert!(run_phased_sharded(&topo(&service, &server, &fine_nodes), 1, 1).is_ok());
+    assert!(run_fleet(&topo(&service, &server, &fine_nodes), 1, 1).is_ok());
 }
 
 /// The merged schedule is the union of node schedules, and per-phase
@@ -341,7 +344,7 @@ fn merged_schedule_unions_node_boundaries() {
     let spec = topo(&service, &server, &nodes);
     let merged = spec.merged_schedule();
     assert_eq!(merged.boundaries(), &[SimTime::from_ms(20), SimTime::from_ms(40)]);
-    let phased = run_phased_sharded(&spec, 3, 1).expect("valid phased topology");
+    let phased = run_fleet(&spec, 3, 1).expect("valid phased topology");
     assert_eq!(phased.phases.len(), 3);
     assert!(phased.phases.iter().all(|p| p.samples > 0));
 }

@@ -6,17 +6,11 @@
 //! values bit-for-bit (`GOLDEN_SHARDED`) and checks the degenerate K=1
 //! tier against every static golden row.
 
-use std::sync::Mutex;
-use tpv_core::collect::{EventCountCollector, PhaseCollector};
+use tpv_core::collect::{EventCountCollector, NullCollector, PerNodeCollector, PhaseCollector};
 use tpv_core::engine::{fingerprint_topology, Engine, JobPlan};
 
-use tpv_core::runtime::{
-    run_cohorted, run_collected, run_phased_sharded, run_sharded_collected, run_topology,
-    run_topology_sharded,
-};
-use tpv_core::topology::{
-    ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, ShardedFleetResult, TopologySpec,
-};
+use tpv_core::runtime::{run_collected, run_fleet, run_sharded_collected, FleetRun, RunResult};
+use tpv_core::topology::{ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
@@ -45,6 +39,21 @@ fn mixed_fleet() -> Vec<ClientNode> {
         .collect()
 }
 
+/// The aggregate and per-node results of a run — the fleet view the
+/// determinism contracts below compare.
+fn fleet_view(run: &FleetRun) -> (RunResult, Vec<RunResult>) {
+    (run.aggregate.clone(), run.nodes.iter().map(|n| n.result.clone()).collect())
+}
+
+/// The fleet view from the serial single-collector kernel
+/// (`run_collected` feeding one `PerNodeCollector` partition by
+/// partition).
+fn serial_fleet_view(spec: &TopologySpec<'_>, seed: u64) -> (RunResult, Vec<RunResult>) {
+    let mut per_node = PerNodeCollector::new(spec.lowered_node_count());
+    let aggregate = run_collected(spec, seed, &mut per_node);
+    (aggregate, per_node.into_results())
+}
+
 fn topo<'a>(
     service: &'a ServiceConfig,
     server: &'a MachineConfig,
@@ -69,21 +78,20 @@ fn serial_and_parallel_shard_execution_are_bit_identical() {
     let nodes = mixed_fleet();
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
-    let serial = run_topology_sharded(&spec, 11, 1);
+    let serial = run_fleet(&spec, 11, 1).expect("valid topology");
     for workers in [2, 4, 8, 64] {
-        let parallel = run_topology_sharded(&spec, 11, workers);
+        let parallel = run_fleet(&spec, 11, workers).expect("valid topology");
         assert_eq!(serial, parallel, "{workers} workers drifted from serial execution");
     }
-    // The serial single-collector kernel (`run_collected` via
-    // `run_topology`) must agree with the partition-merged path too.
-    let fleet = run_topology(&spec, 11);
-    assert_eq!(serial.fleet, fleet, "run_topology disagrees with run_topology_sharded");
+    // The serial single-collector kernel (`run_collected`) must agree
+    // with the partition-merged path too.
+    assert_eq!(fleet_view(&serial), serial_fleet_view(&spec, 11), "run_collected disagrees with run_fleet");
     // Shape: every node appears on exactly one shard.
     let mut seen: Vec<usize> = serial.shards.iter().flat_map(|s| s.nodes.iter().copied()).collect();
     seen.sort_unstable();
     assert_eq!(seen, (0..nodes.len()).collect::<Vec<_>>());
     let pooled: u64 = serial.shards.iter().map(|s| s.result.samples).sum();
-    assert_eq!(serial.fleet.aggregate.samples, pooled, "shard breakdowns must pool to the aggregate");
+    assert_eq!(serial.aggregate.samples, pooled, "shard breakdowns must pool to the aggregate");
 }
 
 #[test]
@@ -101,19 +109,19 @@ fn shard_enumeration_order_is_presentation_not_physics() {
         machines: vec![slow, fast],
         policy: ShardPolicy::Explicit(assignment.iter().map(|&s| 1 - s).collect()),
     };
-    let a = run_topology_sharded(&topo(&service, &server, &nodes, Some(&forward)), 7, 4);
-    let b = run_topology_sharded(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4);
+    let a = run_fleet(&topo(&service, &server, &nodes, Some(&forward)), 7, 4).expect("valid topology");
+    let b = run_fleet(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4).expect("valid topology");
     // Per-node results are invariant under the relabeling...
     for label in nodes.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under shard enumeration permutation"
         );
     }
     // ...the aggregate is bit-identical (float merges happen in
     // canonical content order, not enumeration order)...
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
     // ...and the shard breakdowns swap along with the enumeration.
     assert_eq!(a.shards[0].result, b.shards[1].result);
     assert_eq!(a.shards[1].result, b.shards[0].result);
@@ -128,7 +136,7 @@ fn node_to_shard_assignment_travels_with_the_nodes() {
     let assignment = shards.assign(base.len());
     let spec_a =
         ShardSpec { machines: shards.machines.clone(), policy: ShardPolicy::Explicit(assignment.clone()) };
-    let a = run_topology_sharded(&topo(&service, &server, &base, Some(&spec_a)), 21, 4);
+    let a = run_fleet(&topo(&service, &server, &base, Some(&spec_a)), 21, 4).expect("valid topology");
     // Permute the declaration order and permute the explicit assignment
     // identically: every node keeps its shard, so every per-node result
     // and the aggregate must be unchanged.
@@ -138,15 +146,15 @@ fn node_to_shard_assignment_travels_with_the_nodes() {
         machines: shards.machines.clone(),
         policy: ShardPolicy::Explicit(order.iter().map(|&i| assignment[i]).collect()),
     };
-    let b = run_topology_sharded(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4);
+    let b = run_fleet(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4).expect("valid topology");
     for label in base.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under node permutation"
         );
     }
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
 }
 
 #[test]
@@ -154,10 +162,14 @@ fn one_shard_tier_is_the_unsharded_kernel() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let nodes = mixed_fleet();
-    let unsharded = run_topology(&topo(&service, &server, &nodes, None), 5);
+    let unsharded = run_fleet(&topo(&service, &server, &nodes, None), 5, 1).expect("valid topology");
     let one = ShardSpec::uniform(server, 1);
-    let sharded = run_topology_sharded(&topo(&service, &server, &nodes, Some(&one)), 5, 4);
-    assert_eq!(sharded.fleet, unsharded, "K=1 must be bit-identical to the unsharded kernel");
+    let sharded = run_fleet(&topo(&service, &server, &nodes, Some(&one)), 5, 4).expect("valid topology");
+    assert_eq!(
+        fleet_view(&sharded),
+        fleet_view(&unsharded),
+        "K=1 must be bit-identical to the unsharded kernel"
+    );
     assert_eq!(sharded.shards.len(), 1);
     assert_eq!(sharded.shards[0].result.samples, unsharded.aggregate.samples);
 }
@@ -172,9 +184,9 @@ fn empty_shards_are_inert() {
     // exactly as in the 3-shard tier.
     let wide = ShardSpec::uniform(server, 8);
     let narrow = ShardSpec::uniform(server, 3);
-    let a = run_topology_sharded(&topo(&service, &server, &nodes, Some(&wide)), 9, 4);
-    let b = run_topology_sharded(&topo(&service, &server, &nodes, Some(&narrow)), 9, 4);
-    assert_eq!(a.fleet, b.fleet, "idle shards must not perturb loaded ones");
+    let a = run_fleet(&topo(&service, &server, &nodes, Some(&wide)), 9, 4).expect("valid topology");
+    let b = run_fleet(&topo(&service, &server, &nodes, Some(&narrow)), 9, 4).expect("valid topology");
+    assert_eq!(fleet_view(&a), fleet_view(&b), "idle shards must not perturb loaded ones");
     for idle in &a.shards[3..] {
         assert_eq!(idle.result.samples, 0);
         assert!(idle.nodes.is_empty());
@@ -200,8 +212,8 @@ fn hot_shard_policy_skews_the_per_shard_tail() {
         .collect();
     let uniform = ShardSpec::uniform(server, 4);
     let hot = ShardSpec::uniform(server, 4).with_policy(ShardPolicy::HotShard { hot: 1, share: 0.5 });
-    let u = run_topology_sharded(&topo(&service, &server, &nodes, Some(&uniform)), 13, 4);
-    let h = run_topology_sharded(&topo(&service, &server, &nodes, Some(&hot)), 13, 4);
+    let u = run_fleet(&topo(&service, &server, &nodes, Some(&uniform)), 13, 4).expect("valid topology");
+    let h = run_fleet(&topo(&service, &server, &nodes, Some(&hot)), 13, 4).expect("valid topology");
     // The hot backend serves half the fleet on one machine: its tail
     // must exceed the cold shards' and widen the per-shard spread well
     // beyond the uniform tier's.
@@ -235,9 +247,9 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
         .collect();
     let hot = ShardSpec::uniform(server, 4).with_policy(ShardPolicy::HotShard { hot: 1, share: 0.5 });
     let spec = topo(&service, &server, &nodes, Some(&hot));
-    let serial = run_topology_sharded(&spec, 29, 1);
+    let serial = run_fleet(&spec, 29, 1).expect("valid topology");
     for workers in [2, 3, 4, 8] {
-        let stolen = run_topology_sharded(&spec, 29, workers);
+        let stolen = run_fleet(&spec, 29, workers).expect("valid topology");
         assert_eq!(serial, stolen, "{workers}-worker stolen schedule drifted from serial");
     }
 }
@@ -258,34 +270,20 @@ fn merged_event_counts_match_the_serial_collector() {
     assert_eq!(shard_results.len(), 4);
 }
 
-/// Runs `run` through `Engine::execute_fleet` on a 1-job plan (the
+/// Runs `spec` through `Engine::execute_fleet` on a 1-job plan (the
 /// 8-way engine hands the job all 8 workers for its shards) and on an
 /// 8-job plan (the job pool takes all 8, each run's shards go serial),
-/// asserting both splits reproduce `Engine::serial()` bit for bit.
-fn assert_fleet_runner_is_parallelism_invariant<R>(
-    what: &str,
-    spec: TopologySpec<'_>,
-    run: impl Fn(&TopologySpec<'_>, u64, usize) -> R + Sync,
-) where
-    R: PartialEq + std::fmt::Debug + Send,
-{
+/// asserting both splits reproduce `Engine::serial()` bit for bit. The
+/// budget each job receives is pinned where `execute_fleet` hands it to
+/// `run_fleet`, by the engine's
+/// `fleet_worker_budget_splits_between_jobs_and_shards` unit test.
+fn assert_fleet_runner_is_parallelism_invariant(what: &str, spec: TopologySpec<'_>) {
     let fp = [fingerprint_topology(&spec)];
-    for (plan, intra) in [(JobPlan::new(17, &fp, 1), 8), (JobPlan::new(17, &fp, 8).shuffled(99), 1)] {
+    for plan in [JobPlan::new(17, &fp, 1), JobPlan::new(17, &fp, 8).shuffled(99)] {
         let jobs = plan.jobs().len();
-        let serial = Engine::serial().execute_fleet(&plan, |_| spec, &run).expect("valid topology");
-        let budgets = Mutex::new(Vec::new());
-        let parallel = Engine::with_workers(8)
-            .execute_fleet(
-                &plan,
-                |_| spec,
-                |t, seed, workers| {
-                    budgets.lock().unwrap().push(workers);
-                    run(t, seed, workers)
-                },
-            )
-            .expect("valid topology");
+        let serial = Engine::serial().execute_fleet(&plan, |_| spec).expect("valid topology");
+        let parallel = Engine::with_workers(8).execute_fleet(&plan, |_| spec).expect("valid topology");
         assert_eq!(serial, parallel, "{what}: {jobs}-job plan drifted from the serial engine");
-        assert_eq!(budgets.into_inner().unwrap(), vec![intra; jobs], "{what}: {jobs}-job worker split");
     }
 }
 
@@ -297,19 +295,22 @@ fn engine_execute_sharded_is_parallelism_invariant() {
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
     let plan = JobPlan::new(17, &[fingerprint_topology(&spec)], 3).shuffled(99);
-    let sharded =
-        |engine: Engine| engine.execute_fleet(&plan, |_| spec, run_topology_sharded).expect("valid topology");
+    let sharded = |engine: Engine| engine.execute_fleet(&plan, |_| spec).expect("valid topology");
     let serial = sharded(Engine::serial());
     let parallel = sharded(Engine::with_workers(8));
     assert_eq!(serial, parallel, "engine scheduling must not change sharded results");
     assert_eq!(serial.len(), 3);
-    let direct: Vec<(usize, usize, ShardedFleetResult)> =
-        plan.jobs().iter().map(|j| (j.cell, j.run, run_topology_sharded(&spec, j.seed, 1))).collect();
+    let direct: Vec<(usize, usize, FleetRun)> = plan
+        .jobs()
+        .iter()
+        .map(|j| (j.cell, j.run, run_fleet(&spec, j.seed, 1).expect("valid topology")))
+        .collect();
     let mut direct_sorted = direct;
     direct_sorted.sort_by_key(|&(c, r, _)| (c, r));
     assert_eq!(serial, direct_sorted, "engine jobs must equal direct sharded runs");
 
-    // Every fleet runner rides the same budget split.
+    // Phased and cohorted fleets take the same `execute_fleet` path and
+    // must reproduce the serial engine under both budget splits too.
     let phased_nodes = phased_fleet();
     let phased = topo(&service, &server, &phased_nodes, Some(&shards));
     let gen = GeneratorSpec::mutilate().with_connections(4);
@@ -332,12 +333,9 @@ fn engine_execute_sharded_is_parallelism_invariant() {
         .with_tracked(1),
     ];
     let cohorted = TopologySpec { nodes: &[], cohorts: &cohorts, ..spec };
-    assert_fleet_runner_is_parallelism_invariant("fleet", spec, |t, seed, _| run_topology(t, seed));
-    assert_fleet_runner_is_parallelism_invariant("sharded", spec, run_topology_sharded);
-    assert_fleet_runner_is_parallelism_invariant("phased", phased, |t, seed, workers| {
-        run_phased_sharded(t, seed, workers).expect("valid phased topology")
-    });
-    assert_fleet_runner_is_parallelism_invariant("cohorted", cohorted, run_cohorted);
+    assert_fleet_runner_is_parallelism_invariant("sharded", spec);
+    assert_fleet_runner_is_parallelism_invariant("phased", phased);
+    assert_fleet_runner_is_parallelism_invariant("cohorted", cohorted);
 }
 
 // ---------------------------------------------------------------------
@@ -374,22 +372,26 @@ fn phased_serial_and_parallel_shard_execution_are_bit_identical() {
     let nodes = phased_fleet();
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
-    let serial = run_phased_sharded(&spec, 19, 1).expect("valid phased topology");
+    let serial = run_fleet(&spec, 19, 1).expect("valid phased topology");
     assert_eq!(serial.phases.len(), 2, "the merged schedule has two phases");
     assert!(serial.phases.iter().all(|p| p.samples > 0));
     for workers in [2, 3, 4, 8] {
-        let parallel = run_phased_sharded(&spec, 19, workers).expect("valid phased topology");
+        let parallel = run_fleet(&spec, 19, workers).expect("valid phased topology");
         assert_eq!(serial, parallel, "{workers}-worker phased schedule drifted from serial");
     }
     // The phased view is the sharded kernel plus a phase lens: the fleet
-    // and per-shard breakdowns must match the static sharded entry point
-    // on the same (dynamic) topology, bit for bit.
-    let static_view = run_topology_sharded(&spec, 19, 4);
-    assert_eq!(serial.fleet, static_view.fleet, "phased view must not perturb the fleet result");
-    assert_eq!(serial.shards, static_view.shards, "phased view must not perturb the shard breakdown");
+    // view must match the serial single-collector kernel on the same
+    // (dynamic) topology, bit for bit.
+    assert_eq!(
+        fleet_view(&serial),
+        serial_fleet_view(&spec, 19),
+        "phased view must not perturb the fleet result"
+    );
+    let (_, shards, _) = run_sharded_collected(&spec, 19, 4, |_, _| NullCollector);
+    assert_eq!(serial.shards, shards, "phased view must not perturb the shard breakdown");
     // Phases partition the window: per-phase counts pool to the aggregate.
     let pooled: u64 = serial.phases.iter().map(|p| p.samples).sum();
-    assert_eq!(pooled, serial.fleet.aggregate.samples, "phase buckets must partition the window");
+    assert_eq!(pooled, serial.aggregate.samples, "phase buckets must partition the window");
 }
 
 #[test]
@@ -409,16 +411,14 @@ fn phased_shard_enumeration_order_is_presentation_not_physics() {
         machines: vec![slow, fast],
         policy: ShardPolicy::Explicit(assignment.iter().map(|&s| 1 - s).collect()),
     };
-    let a = run_phased_sharded(&topo(&service, &server, &nodes, Some(&forward)), 7, 4)
-        .expect("valid phased topology");
-    let b = run_phased_sharded(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4)
-        .expect("valid phased topology");
+    let a = run_fleet(&topo(&service, &server, &nodes, Some(&forward)), 7, 4).expect("valid phased topology");
+    let b = run_fleet(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4).expect("valid phased topology");
     assert_eq!(a.phases, b.phases, "per-phase stats differ under shard enumeration permutation");
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
     for label in nodes.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under shard enumeration permutation"
         );
     }
@@ -435,22 +435,21 @@ fn phased_node_permutation_is_presentation_not_physics() {
     let assignment = shards.assign(base.len());
     let spec_a =
         ShardSpec { machines: shards.machines.clone(), policy: ShardPolicy::Explicit(assignment.clone()) };
-    let a = run_phased_sharded(&topo(&service, &server, &base, Some(&spec_a)), 21, 4)
-        .expect("valid phased topology");
+    let a = run_fleet(&topo(&service, &server, &base, Some(&spec_a)), 21, 4).expect("valid phased topology");
     let order = [5usize, 2, 7, 0, 3, 6, 1, 4];
     let permuted: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
     let spec_b = ShardSpec {
         machines: shards.machines.clone(),
         policy: ShardPolicy::Explicit(order.iter().map(|&i| assignment[i]).collect()),
     };
-    let b = run_phased_sharded(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4)
-        .expect("valid phased topology");
+    let b =
+        run_fleet(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4).expect("valid phased topology");
     assert_eq!(a.phases, b.phases, "per-phase stats must ignore node declaration order");
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
     for label in base.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under node permutation"
         );
     }
@@ -461,17 +460,19 @@ fn phased_one_shard_tier_is_the_unsharded_phased_kernel() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let nodes = phased_fleet();
-    let unsharded =
-        run_phased_sharded(&topo(&service, &server, &nodes, None), 5, 1).expect("valid phased topology");
+    let unsharded = run_fleet(&topo(&service, &server, &nodes, None), 5, 1).expect("valid phased topology");
     let one = ShardSpec::uniform(server, 1);
-    let sharded = run_phased_sharded(&topo(&service, &server, &nodes, Some(&one)), 5, 4)
-        .expect("valid phased topology");
-    assert_eq!(sharded.fleet, unsharded.fleet, "K=1 must be bit-identical to the unsharded phased kernel");
+    let sharded =
+        run_fleet(&topo(&service, &server, &nodes, Some(&one)), 5, 4).expect("valid phased topology");
+    assert_eq!(
+        fleet_view(&sharded),
+        fleet_view(&unsharded),
+        "K=1 must be bit-identical to the unsharded phased kernel"
+    );
     assert_eq!(sharded.phases, unsharded.phases, "K=1 per-phase stats must match the unsharded kernel");
     assert_eq!(sharded.shards.len(), 1);
     // Worker count on an unsharded phased topology is a no-op too.
-    let wide =
-        run_phased_sharded(&topo(&service, &server, &nodes, None), 5, 8).expect("valid phased topology");
+    let wide = run_fleet(&topo(&service, &server, &nodes, None), 5, 8).expect("valid phased topology");
     assert_eq!(wide, unsharded);
 }
 
